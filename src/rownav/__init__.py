@@ -5,7 +5,7 @@ behavior supervisor with fault recovery, and a deterministic desk-scale
 simulator for closed-loop evaluation.
 """
 
-from .core import (BorderLine, ControlInput, Point2, Point3, QuatPose,
+from .core import (BorderLine, ControlInput, Point2, QuatPose,
                    heading_of, pose_from, wrap_angle)
 from .nmpc import (ControlSequence, InfeasibleError, NmpcConfig, NmpcController,
                    SolverStatus, align_cost, dynamics, integrate_step, lane_cost,

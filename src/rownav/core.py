@@ -45,15 +45,6 @@ class ControlInput:
 
 
 @dataclass(frozen=True)
-class Point3:
-    """Point in the rover frame: x forward, y left, z up (meters)."""
-
-    x: float
-    y: float
-    z: float
-
-
-@dataclass(frozen=True)
 class Point2:
     x: float
     y: float

@@ -12,6 +12,18 @@ Obstacle constraints are handled with an exterior quadratic penalty whose
 weight grows geometrically until the worst violation drops below the
 solver tolerance; input box bounds are kept by projection inside the
 L-BFGS-B inner step, so returned inputs satisfy them exactly.
+
+The public cost functions (lane_cost, align_cost, stage_cost, meyer_cost)
+and the dynamics are the ones solve minimises and integrates: both call
+the same scalar kernels. Where the kernels floor the corridor width or
+the slope denominator, so that line searches stay finite, the public
+functions raise DegenerateCorridor or NearPerpendicular instead.
+
+A solve status describes the returned plan: CONVERGED for an optimizer
+result whose last L-BFGS-B run reported success, MAX_ITER for one whose
+run stopped short and for a baseline plan (zero input or the shifted warm
+start), INFEASIBLE when no candidate meets the clearance constraints
+within solver_tol.
 """
 
 from __future__ import annotations
@@ -19,6 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import minimize
@@ -34,6 +47,9 @@ EPS_TAN = 1e-3
 # (0.5 rad/s * 0.7 s) would leave ~3e-6 error against the closed-form arc;
 # substepping keeps it below 1e-8.
 _MAX_HEADING_PER_SUBSTEP = 0.1
+
+# Corridor widths below this count as borders that meet.
+_MIN_WIDTH = 1e-9
 
 
 class DegenerateCorridor(ValueError):
@@ -101,25 +117,22 @@ class ControlSequence:
     status: SolverStatus
 
 
+def _derivative(v, w, x3, x4):
+    """(x1', x2', x3', x4') of the half-angle unicycle; reads only the heading."""
+    return (v * (x3 * x3 - x4 * x4), v * 2.0 * x3 * x4,
+            -w * x4 / 2.0, w * x3 / 2.0)
+
+
 def dynamics(state: QuatPose, u: ControlInput) -> tuple[float, float, float, float]:
     """State derivative of the half-angle unicycle model."""
-    return (u.v * (state.x3 * state.x3 - state.x4 * state.x4),
-            u.v * (2.0 * state.x3 * state.x4),
-            -u.omega * state.x4 / 2.0,
-            u.omega * state.x3 / 2.0)
+    return _derivative(u.v, u.omega, state.x3, state.x4)
 
 
 def _rk4_substep(x1, x2, x3, x4, v, w, h):
-    def f(a1, a2, a3, a4):
-        return (v * (a3 * a3 - a4 * a4), v * 2.0 * a3 * a4,
-                -w * a4 / 2.0, w * a3 / 2.0)
-
-    k1 = f(x1, x2, x3, x4)
-    k2 = f(x1 + 0.5 * h * k1[0], x2 + 0.5 * h * k1[1],
-           x3 + 0.5 * h * k1[2], x4 + 0.5 * h * k1[3])
-    k3 = f(x1 + 0.5 * h * k2[0], x2 + 0.5 * h * k2[1],
-           x3 + 0.5 * h * k2[2], x4 + 0.5 * h * k2[3])
-    k4 = f(x1 + h * k3[0], x2 + h * k3[1], x3 + h * k3[2], x4 + h * k3[3])
+    k1 = _derivative(v, w, x3, x4)
+    k2 = _derivative(v, w, x3 + 0.5 * h * k1[2], x4 + 0.5 * h * k1[3])
+    k3 = _derivative(v, w, x3 + 0.5 * h * k2[2], x4 + 0.5 * h * k2[3])
+    k4 = _derivative(v, w, x3 + h * k3[2], x4 + h * k3[3])
     x1 += h / 6.0 * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
     x2 += h / 6.0 * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
     x3 += h / 6.0 * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2])
@@ -146,8 +159,43 @@ def integrate_step(state: QuatPose, u: ControlInput, dt: float) -> QuatPose:
                                     u.v, u.omega, dt))
 
 
-def _inflated_y(lane: LaneModel, x1: float) -> tuple[float, float]:
-    return lane.inflated_left.y_at(x1), lane.inflated_right.y_at(x1)
+def _lane_term(x1, x2, lane):
+    y_l = lane.inflated_left.y_at(x1)
+    y_r = lane.inflated_right.y_at(x1)
+    d = max(abs(y_l - y_r), _MIN_WIDTH)
+    s = 2.0 * x2 - y_l - y_r
+    return (s * s) / (d * d)
+
+
+def _align_term(x3, x4, a_avg):
+    D = x3 * x3 - x4 * x4
+    if abs(D) < EPS_TAN:
+        D = EPS_TAN if D >= 0 else -EPS_TAN
+    diff = a_avg - 2.0 * x3 * x4 / D
+    return diff * diff
+
+
+def _add_stage(acc, x1, x2, x3, x4, v, w, pv, pw, lane, cfg):
+    """acc plus one step's running cost, added term by term."""
+    return (acc + cfg.K_lane * _lane_term(x1, x2, lane)
+            + cfg.K_orient * _align_term(x3, x4, lane.a_avg)
+            + cfg.r_weight_v * (v - pv) ** 2
+            + cfg.r_weight_omega * (w - pw) ** 2)
+
+
+def _travel_term(x1, x2, lane, K_travel):
+    a = lane.a_avg
+    return -(K_travel / math.sqrt(1.0 + a * a)) * (x1 + a * x2)
+
+
+def _check_corridor(lane, x1):
+    if abs(lane.inflated_left.y_at(x1) - lane.inflated_right.y_at(x1)) < _MIN_WIDTH:
+        raise DegenerateCorridor(f"borders meet at x1={x1:.3f}")
+
+
+def _check_heading(x3, x4):
+    if abs(x3 * x3 - x4 * x4) <= EPS_TAN:
+        raise NearPerpendicular("heading too close to +-90 deg for slope cost")
 
 
 def lane_cost(state: QuatPose, lane: LaneModel) -> float:
@@ -156,28 +204,19 @@ def lane_cost(state: QuatPose, lane: LaneModel) -> float:
     Border heights are the margin-inflated lines evaluated at the state's
     forward coordinate.
     """
-    y_l, y_r = _inflated_y(lane, state.x1)
-    d = y_l - y_r
-    if d == 0.0:
-        raise DegenerateCorridor(f"borders meet at x1={state.x1:.3f}")
-    s = 2.0 * state.x2 - y_l - y_r
-    return (s * s) / (d * d)
+    _check_corridor(lane, state.x1)
+    return _lane_term(state.x1, state.x2, lane)
 
 
 def align_cost(state: QuatPose, lane: LaneModel) -> float:
     """Squared slope mismatch between the rover heading and the middle line."""
-    D = state.x3 * state.x3 - state.x4 * state.x4
-    if abs(D) <= EPS_TAN:
-        raise NearPerpendicular("heading too close to +-90 deg for slope cost")
-    a_rover = 2.0 * state.x3 * state.x4 / D
-    diff = lane.a_avg - a_rover
-    return diff * diff
+    _check_heading(state.x3, state.x4)
+    return _align_term(state.x3, state.x4, lane.a_avg)
 
 
 def meyer_cost(state: QuatPose, lane: LaneModel, K_travel: float) -> float:
     """Negative distance traveled, projected on the row direction."""
-    a = lane.a_avg
-    return -K_travel * (state.x1 + a * state.x2) / math.sqrt(1.0 + a * a)
+    return _travel_term(state.x1, state.x2, lane, K_travel)
 
 
 def obstacle_constraint(state: QuatPose, obstacle, R_safe: float) -> float:
@@ -194,23 +233,21 @@ def obstacle_constraint(state: QuatPose, obstacle, R_safe: float) -> float:
 def stage_cost(state: QuatPose, u: ControlInput, u_prev: ControlInput,
                lane: LaneModel, cfg: NmpcConfig) -> float:
     """Running cost: weighted centering + alignment + input-change penalty."""
-    dv = u.v - u_prev.v
-    dw = u.omega - u_prev.omega
-    return (cfg.K_lane * lane_cost(state, lane)
-            + cfg.K_orient * align_cost(state, lane)
-            + cfg.r_weight_v * dv * dv
-            + cfg.r_weight_omega * dw * dw)
+    _check_corridor(lane, state.x1)
+    _check_heading(state.x3, state.x4)
+    return _add_stage(0.0, state.x1, state.x2, state.x3, state.x4,
+                      u.v, u.omega, u_prev.v, u_prev.omega, lane, cfg)
 
 
 def stage_cost_gradients(state: QuatPose, u: ControlInput, u_prev: ControlInput,
                          lane: LaneModel, cfg: NmpcConfig
                          ) -> tuple[np.ndarray, np.ndarray]:
     """Analytic partials of stage_cost w.r.t. the raw state and the input."""
+    _check_corridor(lane, state.x1)
+    _check_heading(state.x3, state.x4)
     al, ar = lane.inflated_left.a, lane.inflated_right.a
-    y_l, y_r = _inflated_y(lane, state.x1)
+    y_l, y_r = lane.inflated_left.y_at(state.x1), lane.inflated_right.y_at(state.x1)
     d = y_l - y_r
-    if d == 0.0:
-        raise DegenerateCorridor(f"borders meet at x1={state.x1:.3f}")
     s = 2.0 * state.x2 - y_l - y_r
     ds_dx1 = -(al + ar)
     dd_dx1 = al - ar
@@ -219,8 +256,6 @@ def stage_cost_gradients(state: QuatPose, u: ControlInput, u_prev: ControlInput,
 
     x3, x4 = state.x3, state.x4
     D = x3 * x3 - x4 * x4
-    if abs(D) <= EPS_TAN:
-        raise NearPerpendicular("heading too close to +-90 deg for slope cost")
     N = 2.0 * x3 * x4
     q = N / D
     diff = lane.a_avg - q
@@ -247,26 +282,12 @@ def meyer_cost_gradient(state: QuatPose, lane: LaneModel, K_travel: float
     return np.array([scale, scale * a, 0.0, 0.0])
 
 
-def _lane_cost_soft(x1, x2, lane):
-    # Same paraboloid, with the denominator floored so line searches that
-    # wander past a border crossing stay finite.
-    y_l = lane.inflated_left.a * x1 + lane.inflated_left.b
-    y_r = lane.inflated_right.a * x1 + lane.inflated_right.b
-    d = y_l - y_r
-    if abs(d) < 1e-9:
-        d = 1e-9 if d >= 0 else -1e-9
-    s = 2.0 * x2 - y_l - y_r
-    return (s * s) / (d * d)
-
-
-def _align_cost_soft(x3, x4, a_avg):
-    # Denominator floored at EPS_TAN: near +-90 deg the term turns into a
-    # large flat barrier instead of a singularity.
-    D = x3 * x3 - x4 * x4
-    if abs(D) < EPS_TAN:
-        D = EPS_TAN if D >= 0 else -EPS_TAN
-    diff = a_avg - 2.0 * x3 * x4 / D
-    return diff * diff
+class _Candidate(NamedTuple):
+    u: np.ndarray
+    cost: float
+    worst: float          # max constraint violation, m^2
+    states: list          # rollout of u, n + 1 raw state tuples
+    converged: bool       # an optimizer result whose last run reported success
 
 
 def solve(state: QuatPose, lane: LaneModel, obstacles, u_prev: ControlInput,
@@ -275,44 +296,26 @@ def solve(state: QuatPose, lane: LaneModel, obstacles, u_prev: ControlInput,
     """Solve the horizon problem and return a saturated input sequence.
 
     The returned sequence is the best feasible candidate among the
-    optimizer result, the zero-input sequence, and the warm start, so its
-    cost never exceeds either baseline. Status is INFEASIBLE when no
-    candidate meets the clearance constraints within cfg.solver_tol.
+    optimizer results, the zero-input sequence, and the warm start, so its
+    cost never exceeds either baseline. The status describes that
+    candidate, as set out in the module docstring.
     """
     n = cfg.horizon_n
     obs = np.asarray(obstacles, dtype=float).reshape(-1, 2) if obstacles is not None \
         else np.zeros((0, 2))
-    a_avg = lane.a_avg
-    travel_scale = cfg.K_travel / math.sqrt(1.0 + a_avg * a_avg)
     r2 = cfg.R_safe * cfg.R_safe
-    x0 = (state.x1, state.x2, state.x3, state.x4)
-    up0 = (u_prev.v, u_prev.omega)
-
-    def rollout(u_flat):
-        states = [x0]
-        x1, x2, x3, x4 = x0
-        for k in range(n):
-            x1, x2, x3, x4 = _integrate_raw(x1, x2, x3, x4,
-                                            u_flat[2 * k], u_flat[2 * k + 1],
-                                            cfg.dt)
-            states.append((x1, x2, x3, x4))
-        return states
 
     def evaluate(u_flat):
-        """(objective, sum of squared violations, max violation)."""
-        states = rollout(u_flat)
+        """(objective, sum of squared violations, max violation, rollout)."""
+        states = [(state.x1, state.x2, state.x3, state.x4)]
         cost = 0.0
-        pv, pw = up0
+        pv, pw = u_prev.v, u_prev.omega
         for k in range(n):
-            x1, x2, x3, x4 = states[k]
             v, w = u_flat[2 * k], u_flat[2 * k + 1]
-            cost += cfg.K_lane * _lane_cost_soft(x1, x2, lane)
-            cost += cfg.K_orient * _align_cost_soft(x3, x4, a_avg)
-            cost += cfg.r_weight_v * (v - pv) ** 2
-            cost += cfg.r_weight_omega * (w - pw) ** 2
+            cost = _add_stage(cost, *states[k], v, w, pv, pw, lane, cfg)
+            states.append(_integrate_raw(*states[k], v, w, cfg.dt))
             pv, pw = v, w
-        xt = states[n]
-        cost += -travel_scale * (xt[0] + a_avg * xt[1])
+        cost += _travel_term(states[n][0], states[n][1], lane, cfg.K_travel)
         pen = 0.0
         worst = 0.0
         if len(obs):
@@ -324,84 +327,79 @@ def solve(state: QuatPose, lane: LaneModel, obstacles, u_prev: ControlInput,
                         pen += g * g
                         if g > worst:
                             worst = g
-        return cost, pen, worst
+        return cost, pen, worst, states
+
+    def penalized(u_flat, mu):
+        cost, pen, _, _ = evaluate(u_flat)
+        return cost + mu * pen
+
+    def baseline(u_flat):
+        cost, _, worst, states = evaluate(u_flat)
+        return _Candidate(u_flat, cost, worst, states, False)
 
     bounds = [(-cfg.v_max, cfg.v_max), (-cfg.omega_max, cfg.omega_max)] * n
+    lo, hi = np.array(bounds).T
 
-    if warm_start is not None and len(warm_start.inputs) == n:
+    warm = warm_start is not None and len(warm_start.inputs) == n
+    if warm:
         shifted = list(warm_start.inputs[1:]) + [warm_start.inputs[-1]]
         u_init = np.array([c for ui in shifted for c in (ui.v, ui.omega)])
     else:
         u_init = np.array([0.5 * cfg.v_max, 0.0] * n)
-    u_init = np.clip(u_init, [b[0] for b in bounds], [b[1] for b in bounds])
+    u_init = np.clip(u_init, lo, hi)
 
     iterations = 0
-    success = True
 
     def optimize_from(u_start):
-        nonlocal iterations, success
+        nonlocal iterations
         mu = cfg.penalty_init
-        u_cur = u_start.copy()
+        u_cur = u_start
         for _ in range(cfg.solver_max_iter):
-            res = minimize(
-                lambda u, m=mu: (lambda c, p, _w: c + m * p)(*evaluate(u)),
-                u_cur, method="L-BFGS-B", bounds=bounds,
-                options={"maxiter": 200, "ftol": 1e-12, "gtol": 1e-8})
+            res = minimize(penalized, u_cur, args=(mu,), method="L-BFGS-B",
+                           bounds=bounds,
+                           options={"maxiter": 200, "ftol": 1e-12, "gtol": 1e-8})
             iterations += int(res.nit)
-            u_cur = res.x
-            success = bool(res.success)
-            _, _, worst = evaluate(u_cur)
+            u_cur = np.clip(res.x, lo, hi)
+            cost, _, worst, states = evaluate(u_cur)
             if worst <= cfg.solver_tol:
                 break
             mu *= cfg.penalty_growth
-        return u_cur
+        return _Candidate(u_cur, cost, worst, states, bool(res.success))
+
+    def cheapest_feasible(cands):
+        feasible = [c for c in cands if c.worst <= cfg.solver_tol]
+        return min(feasible, key=lambda c: c.cost) if feasible else None
 
     # Never return anything worse than the trivial candidates.
-    candidates = [optimize_from(u_init), np.zeros(2 * n)]
-    if warm_start is not None and len(warm_start.inputs) == n:
-        candidates.append(u_init.copy())
-
-    def pick(cands):
-        best = None
-        worst_case = None
-        for cand in cands:
-            cost, _, worst = evaluate(cand)
-            if worst <= cfg.solver_tol:
-                if best is None or cost < best[0]:
-                    best = (cost, worst, cand)
-            if worst_case is None or worst < worst_case[1]:
-                worst_case = (cost, worst, cand)
-        return best, worst_case
-
-    best, best_infeasible = pick(candidates)
+    zero = baseline(np.zeros(2 * n))
+    candidates = [optimize_from(u_init), zero]
+    if warm:
+        candidates.append(baseline(u_init))
+    best = cheapest_feasible(candidates)
 
     # A blocking obstacle straight ahead leaves the straight init on a
     # saddle (zero gradient in omega). If the plain solve could not beat
     # simply stopping, retry from a left and a right swerve.
-    zero_cost, _, zero_worst = evaluate(np.zeros(2 * n))
-    stuck = best is None or (zero_worst <= cfg.solver_tol
-                             and best[0] >= zero_cost - 1e-9)
+    stuck = best is None or (zero.worst <= cfg.solver_tol
+                             and best.cost >= zero.cost - 1e-9)
     if len(obs) and stuck:
         for sign in (1.0, -1.0):
             swerve = np.array([0.5 * cfg.v_max, sign * 0.8 * cfg.omega_max] * n)
             candidates.append(optimize_from(swerve))
-        best, best_infeasible = pick(candidates)
+        best = cheapest_feasible(candidates)
 
     if best is not None:
-        cost, worst, chosen = best
-        status = SolverStatus.CONVERGED if success else SolverStatus.MAX_ITER
+        chosen = best
+        status = SolverStatus.CONVERGED if best.converged else SolverStatus.MAX_ITER
     else:
-        cost, worst, chosen = best_infeasible
+        chosen = min(candidates, key=lambda c: c.worst)
         status = SolverStatus.INFEASIBLE
 
-    chosen = np.clip(chosen, [b[0] for b in bounds], [b[1] for b in bounds])
-    inputs = tuple(ControlInput(float(chosen[2 * k]), float(chosen[2 * k + 1]))
-                   for k in range(n))
-    states = [state]
-    for ui in inputs:
-        states.append(integrate_step(states[-1], ui, cfg.dt))
-    return ControlSequence(inputs=inputs, predicted_states=tuple(states),
-                           cost=float(cost), max_constraint_violation=float(worst),
+    inputs = tuple(ControlInput(float(v), float(w)) for v, w in chosen.u.reshape(n, 2))
+    states = (state,) + tuple(QuatPose(*map(float, s)) for s in chosen.states[1:])
+    return ControlSequence(inputs=inputs, predicted_states=states,
+                           cost=float(chosen.cost),
+                           max_constraint_violation=float(chosen.worst),
                            iterations=iterations, status=status)
 
 

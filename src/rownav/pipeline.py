@@ -167,7 +167,6 @@ class PerceptionResult:
     lane: LaneModel | None = None
     obstacles: np.ndarray | None = None        # (M, 2) occupied cell centers
     reason: str = ""
-    partial_borders: tuple[BorderLine, ...] = ()
 
     @property
     def ok(self) -> bool:
@@ -423,9 +422,13 @@ def process(cloud, cfg: PipelineConfig) -> PerceptionResult:
     voxelization changes the raw count by a sensor-dependent factor, which
     would make a raw-count ratio meaningless. Obstacle points are the
     occupied cell centers before the occlusion fill (filled cells are not
-    physical obstacles), capped at cfg.max_obstacle_points.
+    physical obstacles), capped at cfg.max_obstacle_points. Points with a
+    NaN or infinite coordinate (invalid depth returns) are dropped first.
     """
     pts = _as_cloud(cloud)
+    finite = np.isfinite(pts)
+    if not finite.all():  # the row mask and its copy cost ms on a dense frame
+        pts = pts[finite.all(axis=1)]
     down = voxel_downsample(pts, cfg.r_v)
     filt = knn_outlier_filter(down, cfg.knn_k, cfg.knn_std_ratio)
     cropped = height_crop(filt, cfg.z_th_min, cfg.z_th_max)
@@ -437,7 +440,6 @@ def process(cloud, cfg: PipelineConfig) -> PerceptionResult:
     filled = shadow_fill(grid)
     left_samples, right_samples = extract_border_samples(filled)
 
-    fitted: list[BorderLine] = []
     borders: dict[str, BorderLine | None] = {"left": None, "right": None}
     for side, samples in (("left", left_samples), ("right", right_samples)):
         # A mid-lane obstacle owns the innermost cell of its columns, which
@@ -453,16 +455,13 @@ def process(cloud, cfg: PipelineConfig) -> PerceptionResult:
         if len(samples) and np.ptp(samples[:, 0]) < cfg.min_border_span:
             continue
         try:
-            line = fit_border_line(samples, side)
-            borders[side] = line
-            fitted.append(line)
+            borders[side] = fit_border_line(samples, side)
         except InsufficientSamples:
             pass
     if borders["left"] is None or borders["right"] is None:
         missing = [s for s in ("left", "right") if borders[s] is None]
         return PerceptionResult(PerceptionStatus.INVALID_LANE, obstacles=obstacles,
-                                reason=f"missing border: {', '.join(missing)}",
-                                partial_borders=tuple(fitted))
+                                reason=f"missing border: {', '.join(missing)}")
 
     # Two sanity checks a hallucinated lane (both fits on the same physical
     # wall, seen obliquely) fails while any real row passes: the row sides
@@ -470,12 +469,10 @@ def process(cloud, cfg: PipelineConfig) -> PerceptionResult:
     divergence = abs(math.atan(borders["left"].a) - math.atan(borders["right"].a))
     if divergence > cfg.max_border_divergence:
         return PerceptionResult(PerceptionStatus.INVALID_LANE, obstacles=obstacles,
-                                reason=f"borders diverge by {divergence:.2f} rad",
-                                partial_borders=tuple(fitted))
+                                reason=f"borders diverge by {divergence:.2f} rad")
     if not (borders["left"].b > 0.0 > borders["right"].b):
         return PerceptionResult(PerceptionStatus.INVALID_LANE, obstacles=obstacles,
-                                reason="sensor origin outside the fitted corridor",
-                                partial_borders=tuple(fitted))
+                                reason="sensor origin outside the fitted corridor")
 
     try:
         lane = apply_safety_margin(
@@ -483,9 +480,9 @@ def process(cloud, cfg: PipelineConfig) -> PerceptionResult:
         lane = split_lane(lane, cfg.lane_mode)
     except CorridorCollapsed as exc:
         return PerceptionResult(PerceptionStatus.INVALID_LANE, obstacles=obstacles,
-                                reason=str(exc), partial_borders=tuple(fitted))
+                                reason=str(exc))
     problem = validate_lane(lane, cfg.max_perp_angle)
     if problem is not None:
         return PerceptionResult(PerceptionStatus.INVALID_LANE, obstacles=obstacles,
-                                reason=problem, partial_borders=tuple(fitted))
+                                reason=problem)
     return PerceptionResult(PerceptionStatus.OK, lane=lane, obstacles=obstacles)

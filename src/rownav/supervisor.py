@@ -23,7 +23,7 @@ from enum import Enum
 
 from .core import ControlInput, Point2, QuatPose, heading_of, pose_from, wrap_angle
 from .nmpc import InfeasibleError, NmpcController, SolverStatus
-from .pipeline import LaneModel, PerceptionResult, PerceptionStatus
+from .pipeline import PerceptionResult, PerceptionStatus
 
 
 class Mode(Enum):
@@ -72,7 +72,6 @@ class FallbackConfig:
 @dataclass
 class SupervisorState:
     mode: Mode = Mode.TRAVERSE
-    last_valid_lane: LaneModel | None = None
     row_heading_world: float | None = None   # lane-backed reference only
     pending_row_heading: float | None = None  # candidate awaiting confirmation
     empty_fov_streak: int = 0
@@ -160,7 +159,6 @@ class MissionSupervisor:
         if not (perception.ok and perception.lane is not None):
             self.state.pending_row_heading = None
             return
-        self.state.last_valid_lane = perception.lane
         proposed = wrap_angle(heading + math.atan(perception.lane.a_avg))
         current = self.state.row_heading_world
         if current is not None:

@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import OptimizeResult
 
+from rownav import nmpc
 from rownav.core import BorderLine, ControlInput, QuatPose, heading_of, pose_from
 from rownav.nmpc import (DegenerateCorridor, NearPerpendicular,
                          NmpcConfig, NmpcController, SolverStatus, align_cost,
@@ -377,11 +379,28 @@ def test_predicted_state_chaining():
 
 def test_solve_reported_cost_matches_reconstruction():
     rng = np.random.default_rng(9)
-    for _ in range(10):
-        pose, ln, obstacles, u_prev = _random_instance(rng)
+    for with_obstacle in [False] * 10 + [True] * 10:
+        pose, ln, obstacles, u_prev = _random_instance(rng, with_obstacle)
         seq = solve(pose, ln, obstacles, u_prev, CFG)
         rebuilt = _objective(list(seq.inputs), pose, ln, u_prev, CFG)
-        assert seq.cost == pytest.approx(rebuilt, rel=1e-6, abs=1e-9)
+        assert seq.cost == pytest.approx(rebuilt, rel=1e-12, abs=1e-9)
+
+
+@pytest.mark.parametrize("plan_v, success, expected", [
+    (CFG.v_max, True, SolverStatus.CONVERGED),
+    (CFG.v_max, False, SolverStatus.MAX_ITER),
+    # full reverse loses to the zero plan, which no optimizer run produced
+    (-CFG.v_max, True, SolverStatus.MAX_ITER),
+], ids=["forward-success", "forward-stopped", "reverse-success"])
+def test_solve_status_describes_returned_plan(monkeypatch, plan_v, success,
+                                              expected):
+    plan = np.array([plan_v, 0.0] * CFG.horizon_n)
+    monkeypatch.setattr(nmpc, "minimize", lambda *args, **kwargs: OptimizeResult(
+        x=plan.copy(), success=success, nit=1))
+    ln = apply_safety_margin(lane(), 0.3)
+    seq = solve(pose_from(0, 0, 0), ln, [], ControlInput(0, 0), CFG)
+    assert [u.v for u in seq.inputs] == [max(plan_v, 0.0)] * CFG.horizon_n
+    assert seq.status is expected
 
 
 # ---------------------------------------------------------------- controller

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from rownav.core import BorderLine
+from rownav.core import BorderLine, pose_from
 from rownav.pipeline import (CorridorCollapsed, InsufficientSamples, LaneModel,
                              OccupancyGrid, PerceptionStatus, PipelineConfig,
                              apply_safety_margin, extract_border_samples,
@@ -11,6 +11,7 @@ from rownav.pipeline import (CorridorCollapsed, InsufficientSamples, LaneModel,
                              knn_outlier_filter, process, project_to_grid,
                              shadow_fill, split_lane, validate_lane,
                              voxel_downsample)
+from rownav.sim import CameraSpec, WorldSpec, generate_world, render_cloud
 
 
 def corridor_cloud(a_l=0.0, b_l=0.75, a_r=0.0, b_r=-0.75, x_lo=0.5, x_hi=4.0,
@@ -401,6 +402,20 @@ def test_process_obstacle_cap():
     res = process(corridor_cloud(), cfg)
     assert res.ok
     assert len(res.obstacles) == 10
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_process_drops_non_finite_points(bad):
+    world = generate_world(WorldSpec(seed=6))
+    cloud = render_cloud(world, pose_from(2.0, 0, 0), CameraSpec())
+    corrupted = cloud.copy()
+    corrupted[::50, 1] = bad
+    cfg = PipelineConfig()
+    res = process(corrupted, cfg)
+    ref = process(np.delete(cloud, np.s_[::50], axis=0), cfg)
+    assert res.status is ref.status is PerceptionStatus.OK
+    assert res.lane == ref.lane
+    np.testing.assert_array_equal(res.obstacles, ref.obstacles)
 
 
 # ---------------------------------------------------------------- properties
