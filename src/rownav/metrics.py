@@ -113,8 +113,11 @@ def compute_report(log: RunLog, centerline: Centerline, row_length: float,
     window = _in_span(log.records, centerline, row_length)
     v_avg, g_avg, g_std, w_std = velocity_and_heading_stats(window, centerline)
     mae, mse = path_errors(window, centerline, desired_offset)
-    if mae > math.sqrt(mse) + 1e-12:
-        raise AssertionError(f"mae {mae} exceeds sqrt(mse) {math.sqrt(mse)}")
+    # mean |e| <= sqrt(mean e^2) holds exactly; the slack is relative because
+    # both sides round to the magnitude of the errors.
+    rms = math.sqrt(mse)
+    if mae > rms + 1e-12 * max(1.0, rms):
+        raise ValueError(f"mae {mae} exceeds sqrt(mse) {rms}")
     return MetricsReport(clearance_time=cleared, v_avg=v_avg, cum_gamma_avg=g_avg,
                          gamma_std=g_std, omega_std=w_std, mae=mae, mse=mse,
                          collisions=log.collisions)

@@ -181,16 +181,33 @@ def _as_cloud(cloud) -> np.ndarray:
 
 
 def voxel_downsample(cloud, r_v: float) -> np.ndarray:
-    """Collapse each occupied voxel of side r_v to the centroid of its points."""
+    """Collapse each occupied voxel of side r_v to the centroid of its points.
+
+    Rows come out in lexicographic order of the voxel index
+    (floor(x/r_v), floor(y/r_v), floor(z/r_v)), and each centroid sums its
+    voxel's points in input order before dividing by their count.
+
+    Each voxel gets one int64 key, built from the dense rank of its index
+    on every axis, so the key stays below n_x * n_y * n_z, the product of
+    the distinct indices per axis. That product must stay below 2**63,
+    which holds for any cloud of fewer than 2**21 (~2.1 million) points;
+    a larger cloud whose product overflows raises ValueError.
+    """
     pts = _as_cloud(cloud)
     if len(pts) == 0:
         return pts
     idx = np.floor(pts / r_v).astype(np.int64)
-    _, inverse = np.unique(idx, axis=0, return_inverse=True)
-    n_cells = int(inverse.max()) + 1
-    sums = np.zeros((n_cells, 3))
-    np.add.at(sums, inverse, pts)
-    counts = np.bincount(inverse, minlength=n_cells).astype(float)
+    key = np.zeros(len(pts), dtype=np.int64)
+    n_keys = 1
+    for c in range(3):
+        levels, rank = np.unique(idx[:, c], return_inverse=True)
+        key = key * len(levels) + rank
+        n_keys *= len(levels)
+    if n_keys >= 2 ** 63:
+        raise ValueError(f"voxel key space {n_keys} overflows int64")
+    _, inverse, counts = np.unique(key, return_inverse=True, return_counts=True)
+    sums = np.column_stack([np.bincount(inverse, weights=pts[:, c])
+                            for c in range(3)])
     return sums / counts[:, None]
 
 
@@ -205,7 +222,9 @@ def knn_outlier_filter(cloud, k: int, std_ratio: float) -> np.ndarray:
     n = len(pts)
     if n <= k:
         return pts.copy()
-    tree = cKDTree(pts)
+    # Sliding-midpoint splits build and query faster than median splits on
+    # voxel centroids; the neighbour distances are exact either way.
+    tree = cKDTree(pts, balanced_tree=False)
     dists, _ = tree.query(pts, k=k + 1)
     mean_d = dists[:, 1:].mean(axis=1)        # column 0 is the point itself
     mu = float(mean_d.mean())

@@ -3,7 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
+from rownav import metrics
 from rownav.core import ControlInput, pose_from
 from rownav.metrics import (NotCompleted, clearance_time, compute_report,
                             path_errors, velocity_and_heading_stats)
@@ -116,6 +119,28 @@ def test_report_jensen_inequality_guard():
     log = make_log(poses, [ControlInput(0.4, 0)] * 80)
     rep = compute_report(log, LINE, 20.0)
     assert rep.mae <= math.sqrt(rep.mse) + 1e-12
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@given(st.lists(st.tuples(finite, finite), min_size=1, max_size=30),
+       st.floats(-1.0, 1.0), finite)
+@example([(0.0, 123456.789)] * 10, 0.0, 0.0)
+def test_path_errors_mae_at_most_rms(points, curvature, desired_offset):
+    log = make_log([pose_from(x, y, 0.0) for x, y in points],
+                   [ControlInput(0.4, 0.0)] * len(points))
+    with np.errstate(over="ignore"):    # errors past ~1e154 m square to inf
+        mae, mse = path_errors(log.records, Centerline(20.0, curvature),
+                               desired_offset)
+    rms = math.sqrt(mse)
+    assert mae <= rms + 1e-12 * max(1.0, rms)
+
+
+def test_report_rejects_mae_above_rms(monkeypatch):
+    monkeypatch.setattr(metrics, "path_errors", lambda *args: (0.5, 0.04))
+    with pytest.raises(ValueError, match="exceeds sqrt"):
+        compute_report(straight_run(), LINE, 20.0)
 
 
 def test_metrics_invariant_under_rigid_transform():

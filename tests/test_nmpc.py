@@ -386,6 +386,27 @@ def test_solve_reported_cost_matches_reconstruction():
         assert seq.cost == pytest.approx(rebuilt, rel=1e-12, abs=1e-9)
 
 
+def test_solve_violation_is_worst_obstacle_constraint():
+    """The solver's reported violation is obstacle_constraint's worst value
+    over the predicted states after the first and every obstacle."""
+    rng = np.random.default_rng(12)
+    instances = [_random_instance(rng, with_obstacle=True) for _ in range(8)]
+    ring = [(0.25 * math.cos(a), 0.25 * math.sin(a))
+            for a in np.linspace(0, 2 * math.pi, 16, endpoint=False)]
+    instances.append((pose_from(0, 0, 0),
+                      apply_safety_margin(lane(b_l=1.25, b_r=-1.25), 0.3),
+                      ring, ControlInput(0, 0)))
+    violated = 0
+    for pose, ln, obstacles, u_prev in instances:
+        seq = solve(pose, ln, obstacles, u_prev, CFG)
+        worst = max(obstacle_constraint(st, ob, CFG.R_safe)
+                    for st in seq.predicted_states[1:] for ob in obstacles)
+        assert seq.max_constraint_violation == pytest.approx(
+            max(0.0, worst), rel=1e-12, abs=0.0)
+        violated += worst > 0.0
+    assert violated >= 2    # the ring, and a plan inside solver_tol
+
+
 @pytest.mark.parametrize("plan_v, success, expected", [
     (CFG.v_max, True, SolverStatus.CONVERGED),
     (CFG.v_max, False, SolverStatus.MAX_ITER),

@@ -1,8 +1,16 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from scipy.spatial import cKDTree
 
+from rownav import pipeline
+from rownav.cli import resolve_config_path
+from rownav.config import load_scenario
 from rownav.core import BorderLine, pose_from
 from rownav.pipeline import (CorridorCollapsed, InsufficientSamples, LaneModel,
                              OccupancyGrid, PerceptionStatus, PipelineConfig,
@@ -62,6 +70,51 @@ def test_voxel_centroids_match_bruteforce_grouping():
     expected = sorted(tuple(np.mean(v, axis=0)) for v in groups.values())
     got = sorted(tuple(p) for p in out)
     np.testing.assert_allclose(got, expected, atol=1e-12)
+
+
+def reference_voxel_downsample(cloud, r_v):
+    """Row-sort formulation: voxels grouped by np.unique over index rows,
+    centroids accumulated with np.add.at in input order."""
+    pts = np.asarray(cloud, dtype=float).reshape(-1, 3)
+    if len(pts) == 0:
+        return pts
+    idx = np.floor(pts / r_v).astype(np.int64)
+    _, inverse = np.unique(idx, axis=0, return_inverse=True)
+    n_cells = int(inverse.max()) + 1
+    sums = np.zeros((n_cells, 3))
+    np.add.at(sums, inverse, pts)
+    counts = np.bincount(inverse, minlength=n_cells).astype(float)
+    return sums / counts[:, None]
+
+
+@st.composite
+def voxel_clouds(draw):
+    """(cloud, r_v): finite clouds from two voxels to 1e7 m across, with
+    coordinates on voxel boundaries and repeated points mixed in. The
+    narrowest put several distinct points in one voxel, where the order
+    of the centroid sum shows in its last bits."""
+    r_v = draw(st.sampled_from([0.01, 0.05, 0.3, 1.0]))
+    scale = draw(st.sampled_from([r_v, 1.0, 100.0, 1e7]))
+    coord = st.one_of(
+        st.floats(-scale, scale, allow_nan=False, allow_infinity=False),
+        st.integers(-50, 50).map(lambda m: m * r_v))
+    base = draw(hnp.arrays(np.float64, (draw(st.integers(1, 40)), 3),
+                           elements=coord))
+    repeats = draw(st.lists(st.integers(0, len(base) - 1), max_size=20))
+    return np.vstack([base, base[repeats]]), r_v
+
+
+@given(voxel_clouds())
+@example((np.array([[0.3, -0.2, 1.0]]), 0.05))
+@example((np.array([[-0.05, 0.05, 0.0], [-0.05, 0.05, 0.0],
+                    [-0.1, 0.0, 0.05]]), 0.05))
+@example((np.array([[-1e7, 0.0, 1e7], [1e7, -1e7, 0.0],
+                    [0.0, 1e7, -1e7]]), 0.01))
+@example((np.random.default_rng(1).uniform(-0.05, 0.05, (40, 3)), 0.05))
+def test_voxel_matches_row_sort_reference(case):
+    cloud, r_v = case
+    assert np.array_equal(voxel_downsample(cloud, r_v),
+                          reference_voxel_downsample(cloud, r_v))
 
 
 # ---------------------------------------------------------------- knn filter
@@ -416,6 +469,46 @@ def test_process_drops_non_finite_points(bad):
     assert res.status is ref.status is PerceptionStatus.OK
     assert res.lane == ref.lane
     np.testing.assert_array_equal(res.obstacles, ref.obstacles)
+
+
+def _scenario_frames(config):
+    """The scenario's pipeline config and depth frames rendered from its
+    start pose and 1 m and 2 m further along +x, plus the first frame with
+    every 37th row made NaN."""
+    cfg = load_scenario(config)
+    world = generate_world(cfg.world)
+    rng = np.random.default_rng([cfg.world.seed, 1])
+    frames = [render_cloud(world, pose_from(cfg.start.x + dx, cfg.start.y,
+                                            cfg.start.theta), cfg.camera, rng)
+              for dx in (0.0, 1.0, 2.0)]
+    holed = frames[0].copy()
+    holed[::37] = np.nan
+    return cfg.pipeline, frames + [holed]
+
+
+def _median_split_tree(pts, **_):
+    return cKDTree(pts)
+
+
+@pytest.mark.parametrize("config", [
+    *(resolve_config_path(f"sim_{name}") for name in
+      ("straight", "curved", "half_lane", "obstacle", "misaligned", "target")),
+    str(Path(__file__).resolve().parents[1] / "bench" / "pergola_dense.yaml"),
+], ids=lambda path: Path(path).stem)
+def test_process_bit_equal_to_row_sort_voxels_and_median_split_tree(
+        monkeypatch, config):
+    cfg, frames = _scenario_frames(config)
+    results = [process(frame, cfg) for frame in frames]
+    monkeypatch.setattr(pipeline, "voxel_downsample", reference_voxel_downsample)
+    monkeypatch.setattr(pipeline, "cKDTree", _median_split_tree)
+    for frame, res in zip(frames, results):
+        ref = process(frame, cfg)
+        assert res.status is ref.status
+        assert res.reason == ref.reason
+        assert res.lane == ref.lane
+        assert (res.obstacles is None) == (ref.obstacles is None)
+        if ref.obstacles is not None:
+            assert np.array_equal(res.obstacles, ref.obstacles)
 
 
 # ---------------------------------------------------------------- properties
