@@ -19,6 +19,17 @@ the same scalar kernels. Where the kernels floor the corridor width or
 the slope denominator, so that line searches stay finite, the public
 functions raise DegenerateCorridor or NearPerpendicular instead.
 
+The objective L-BFGS-B calls runs on Python floats: solve converts the
+input vector with one .tolist() per evaluation, and the obstacle points,
+the start state and the previous input once per solve. Indexing an
+ndarray yields np.float64 scalars, whose operators cost more than
+float's, and every operation in the rollout and the penalty loop is a
+scalar one. The values are the same bit for bit:
++ - * / and sqrt are IEEE operations on both types, and x ** 2 reaches
+the same C pow. Do not replace the penalty loop with array arithmetic:
+np.sum adds the terms in another order, which moves the last bits of the
+objective and so the iterates.
+
 A solve status describes the returned plan: CONVERGED for an optimizer
 result whose last L-BFGS-B run reported success, MAX_ITER for one whose
 run stopped short and for a baseline plan (zero input or the shifted warm
@@ -301,24 +312,27 @@ def solve(state: QuatPose, lane: LaneModel, obstacles, u_prev: ControlInput,
     candidate, as set out in the module docstring.
     """
     n = cfg.horizon_n
-    obs = np.asarray(obstacles, dtype=float).reshape(-1, 2) if obstacles is not None \
-        else np.zeros((0, 2))
+    obs = (np.asarray(obstacles, dtype=float).reshape(-1, 2).tolist()
+           if obstacles is not None else [])
     r2 = cfg.R_safe * cfg.R_safe
+    start = (float(state.x1), float(state.x2), float(state.x3), float(state.x4))
+    v_prev, w_prev = float(u_prev.v), float(u_prev.omega)
 
     def evaluate(u_flat):
         """(objective, sum of squared violations, max violation, rollout)."""
-        states = [(state.x1, state.x2, state.x3, state.x4)]
+        u = u_flat.tolist()
+        states = [start]
         cost = 0.0
-        pv, pw = u_prev.v, u_prev.omega
+        pv, pw = v_prev, w_prev
         for k in range(n):
-            v, w = u_flat[2 * k], u_flat[2 * k + 1]
+            v, w = u[2 * k], u[2 * k + 1]
             cost = _add_stage(cost, *states[k], v, w, pv, pw, lane, cfg)
             states.append(_integrate_raw(*states[k], v, w, cfg.dt))
             pv, pw = v, w
         cost += _travel_term(states[n][0], states[n][1], lane, cfg.K_travel)
         pen = 0.0
         worst = 0.0
-        if len(obs):
+        if obs:
             for k in range(1, n + 1):
                 sx, sy = states[k][0], states[k][1]
                 for ox, oy in obs:
@@ -382,7 +396,7 @@ def solve(state: QuatPose, lane: LaneModel, obstacles, u_prev: ControlInput,
     # simply stopping, retry from a left and a right swerve.
     stuck = best is None or (zero.worst <= cfg.solver_tol
                              and best.cost >= zero.cost - 1e-9)
-    if len(obs) and stuck:
+    if obs and stuck:
         for sign in (1.0, -1.0):
             swerve = np.array([0.5 * cfg.v_max, sign * 0.8 * cfg.omega_max] * n)
             candidates.append(optimize_from(swerve))

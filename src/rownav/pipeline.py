@@ -167,6 +167,7 @@ class PerceptionResult:
     lane: LaneModel | None = None
     obstacles: np.ndarray | None = None        # (M, 2) occupied cell centers
     reason: str = ""
+    dropped_points: int = 0                    # invalid returns removed on entry
 
     @property
     def ok(self) -> bool:
@@ -441,13 +442,24 @@ def process(cloud, cfg: PipelineConfig) -> PerceptionResult:
     voxelization changes the raw count by a sensor-dependent factor, which
     would make a raw-count ratio meaningless. Obstacle points are the
     occupied cell centers before the occlusion fill (filled cells are not
-    physical obstacles), capped at cfg.max_obstacle_points. Points with a
-    NaN or infinite coordinate (invalid depth returns) are dropped first.
+    physical obstacles), capped at cfg.max_obstacle_points. Invalid depth
+    returns are dropped first and counted in dropped_points: points with a
+    NaN or infinite coordinate, and points at exactly (0, 0, 0), where
+    depth sensors put pixels that returned no range.
     """
     pts = _as_cloud(cloud)
-    finite = np.isfinite(pts)
-    if not finite.all():  # the row mask and its copy cost ms on a dense frame
-        pts = pts[finite.all(axis=1)]
+    n_in = len(pts)
+    # The row mask and its copy cost ms on a dense frame, so build them
+    # only when a whole-array check finds a bad value (a zero-range point
+    # has x == 0).
+    if not (np.isfinite(pts).all() and pts[:, 0].all()):
+        pts = pts[np.isfinite(pts).all(axis=1) & pts.any(axis=1)]
+    result = _perceive(pts, cfg)
+    dropped = n_in - len(pts)
+    return replace(result, dropped_points=dropped) if dropped else result
+
+
+def _perceive(pts: np.ndarray, cfg: PipelineConfig) -> PerceptionResult:
     down = voxel_downsample(pts, cfg.r_v)
     filt = knn_outlier_filter(down, cfg.knn_k, cfg.knn_std_ratio)
     cropped = height_crop(filt, cfg.z_th_min, cfg.z_th_max)

@@ -290,12 +290,15 @@ class MissionSupervisor:
                 cmd = self.nmpc.control_step(pose_from(0.0, 0.0, 0.0),
                                              perception.lane, perception.obstacles)
                 solver_status = self.nmpc.last_sequence.status
-            except InfeasibleError as exc:
+            except Exception as exc:
+                # tick stays total: any solver fault stops the rover and
+                # realigns, and the next OK lane solves from a cold start.
                 solver_status = SolverStatus.INFEASIBLE
                 cmd = ControlInput(0.0, 0.0)
                 st.mode = Mode.FALLBACK_REALIGN
-                note = f"solver infeasible: {exc}"
-                self.nmpc.notify_applied(cmd)
+                note = (f"solver infeasible: {exc}" if isinstance(exc, InfeasibleError)
+                        else f"solver error: {type(exc).__name__}: {exc}")
+                self.nmpc.reset()
         elif perception.status is PerceptionStatus.INVALID_LANE:
             if st.row_heading_world is not None:
                 err = wrap_angle(heading - st.row_heading_world)

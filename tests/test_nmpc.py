@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.optimize import OptimizeResult
 
 from rownav import nmpc
@@ -422,6 +424,102 @@ def test_solve_status_describes_returned_plan(monkeypatch, plan_v, success,
     seq = solve(pose_from(0, 0, 0), ln, [], ControlInput(0, 0), CFG)
     assert [u.v for u in seq.inputs] == [max(plan_v, 0.0)] * CFG.horizon_n
     assert seq.status is expected
+
+
+def _captured_objective(monkeypatch, pose, ln, obstacles, u_prev):
+    """The penalized objective solve hands to minimize, and its args."""
+    seen = []
+
+    def stub(fun, x0, args=(), **kwargs):
+        seen.append((fun, args))
+        return OptimizeResult(x=np.array(x0), success=True, nit=0)
+
+    monkeypatch.setattr(nmpc, "minimize", stub)
+    solve(pose, ln, obstacles, u_prev, CFG)
+    return seen[0]
+
+
+def _float64_objective(u_flat, mu, pose, ln, obstacles, u_prev, cfg):
+    """Reference: the objective summed on np.float64 scalars, the inputs
+    and obstacle coordinates read straight out of their arrays, over the
+    same module kernels and in the same order as solve."""
+    n = cfg.horizon_n
+    obs = np.asarray(obstacles, dtype=float).reshape(-1, 2)
+    r2 = cfg.R_safe * cfg.R_safe
+    states = [(pose.x1, pose.x2, pose.x3, pose.x4)]
+    cost = 0.0
+    pv, pw = u_prev.v, u_prev.omega
+    for k in range(n):
+        v, w = u_flat[2 * k], u_flat[2 * k + 1]
+        assert type(v) is np.float64
+        cost = nmpc._add_stage(cost, *states[k], v, w, pv, pw, ln, cfg)
+        states.append(nmpc._integrate_raw(*states[k], v, w, cfg.dt))
+        pv, pw = v, w
+    cost += nmpc._travel_term(states[n][0], states[n][1], ln, cfg.K_travel)
+    pen = 0.0
+    for k in range(1, n + 1):
+        sx, sy = states[k][0], states[k][1]
+        for ox, oy in obs:
+            g = r2 - (sx - ox) ** 2 - (sy - oy) ** 2
+            if g > 0.0:
+                pen += g * g
+    return cost + mu * pen
+
+
+def test_objective_runs_on_floats_bit_equal_to_float64_loop(monkeypatch):
+    """The objective returns a Python float, bit-equal to the np.float64
+    loop: same L-BFGS-B iterates, at a fraction of the scalar overhead."""
+    rng = np.random.default_rng(21)
+    lo = np.array([-CFG.v_max, -CFG.omega_max] * CFG.horizon_n)
+    checked = 0
+    for n_obs in [0] * 4 + [1, 3, 8, 16]:
+        pose, ln, _, u_prev = _random_instance(rng)
+        obstacles = rng.uniform([0.0, -0.6], [1.5, 0.6], size=(n_obs, 2))
+        fun, args = _captured_objective(monkeypatch, pose, ln, obstacles, u_prev)
+        for _ in range(25):
+            u = rng.uniform(lo, -lo)
+            mu = args[0] * CFG.penalty_growth ** int(rng.integers(0, 8))
+            got = fun(u, mu)
+            assert type(got) is float
+            ref = _float64_objective(u, mu, pose, ln, obstacles, u_prev, CFG)
+            assert got.hex() == float(ref).hex()
+            checked += 1
+    assert checked == 200
+
+
+box_instances = st.tuples(
+    st.floats(-0.25, 0.25), st.floats(0.6, 1.5), st.floats(0.6, 1.5),
+    st.floats(-0.3, 0.3), st.floats(-0.3, 0.3),
+    st.floats(-CFG.v_max, CFG.v_max), st.floats(-CFG.omega_max, CFG.omega_max),
+    st.lists(st.tuples(st.floats(0.0, 2.5), st.floats(-0.8, 0.8)), max_size=3))
+
+
+def _box_instance(case):
+    a, b_l, b_r, y, theta, v, w, obstacles = case
+    ln = apply_safety_margin(lane(a_l=a, b_l=b_l, a_r=a, b_r=-b_r), 0.1)
+    return pose_from(0.0, y, theta), ln, obstacles, ControlInput(v, w)
+
+
+@settings(max_examples=12)
+@given(box_instances)
+def test_solve_inputs_inside_box_property(case):
+    pose, ln, obstacles, u_prev = _box_instance(case)
+    seq = solve(pose, ln, obstacles, u_prev, CFG)
+    for u in seq.inputs:
+        assert -CFG.v_max <= u.v <= CFG.v_max
+        assert -CFG.omega_max <= u.omega <= CFG.omega_max
+
+
+@settings(max_examples=12)
+@given(box_instances)
+def test_solve_never_worse_than_feasible_stop_property(case):
+    pose, ln, obstacles, u_prev = _box_instance(case)
+    assume(all(obstacle_constraint(pose, ob, CFG.R_safe) <= CFG.solver_tol
+               for ob in obstacles))
+    seq = solve(pose, ln, obstacles, u_prev, CFG)
+    zero = [ControlInput(0.0, 0.0)] * CFG.horizon_n
+    assert seq.status is not SolverStatus.INFEASIBLE
+    assert seq.cost <= _objective(zero, pose, ln, u_prev, CFG) + 1e-9
 
 
 # ---------------------------------------------------------------- controller

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -265,6 +266,30 @@ def test_shadow_idempotent_on_random_grids():
         np.testing.assert_array_equal(once.occupied, twice.occupied)
 
 
+@st.composite
+def occupancy_grids(draw):
+    """Grids of 1-30 x 1-30 cells with random occupancy, the sensor at any
+    cell center or on a cell corner."""
+    nx, ny = draw(st.integers(1, 30)), draw(st.integers(1, 30))
+    cell = draw(st.sampled_from([0.02, 0.05, 0.1]))
+    occ = draw(hnp.arrays(bool, (nx, ny)))
+    grid = OccupancyGrid(cell, 0.0, -0.5 * ny * cell, occ)
+    origin = (draw(st.sampled_from(list(grid.x_centers()) + [0.0])),
+              draw(st.sampled_from(list(grid.y_centers()) + [0.0])))
+    return replace(grid, sensor_origin=origin)
+
+
+@given(occupancy_grids())
+def test_shadow_fill_idempotent_property(grid):
+    once = shadow_fill(grid)
+    twice = shadow_fill(once)
+    np.testing.assert_array_equal(twice.occupied, once.occupied)
+    np.testing.assert_array_equal(twice.observed, grid.occupied)
+    # filling the filled grid as if all of it had been observed adds nothing
+    refill = shadow_fill(replace(grid, occupied=once.occupied))
+    np.testing.assert_array_equal(refill.occupied, once.occupied)
+
+
 def test_shadow_preserves_original_occupancy():
     rng = np.random.default_rng(8)
     grid = make_grid()
@@ -469,6 +494,26 @@ def test_process_drops_non_finite_points(bad):
     assert res.status is ref.status is PerceptionStatus.OK
     assert res.lane == ref.lane
     np.testing.assert_array_equal(res.obstacles, ref.obstacles)
+    assert (res.dropped_points, ref.dropped_points) == (len(cloud[::50]), 0)
+
+
+def test_process_drops_zero_range_points():
+    """Depth sensors report pixels without a return at the origin; such rows
+    are dropped and counted, and a rendered cloud (none at the origin) keeps
+    every point."""
+    world = generate_world(WorldSpec(seed=6))
+    cloud = render_cloud(world, pose_from(2.0, 0, 0), CameraSpec())
+    assert pipeline._as_cloud(cloud).any(axis=1).all()
+    corrupted = cloud.copy()
+    corrupted[::50] = 0.0
+    corrupted[1::50] = (0.0, 0.5, 1.0)       # x == 0 alone is a valid point
+    cfg = PipelineConfig()
+    res = process(corrupted, cfg)
+    ref = process(np.delete(corrupted, np.s_[::50], axis=0), cfg)
+    assert res.status is ref.status is PerceptionStatus.OK
+    assert res.lane == ref.lane
+    np.testing.assert_array_equal(res.obstacles, ref.obstacles)
+    assert (res.dropped_points, ref.dropped_points) == (len(cloud[::50]), 0)
 
 
 def _scenario_frames(config):

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from rownav import nmpc
 from rownav.core import BorderLine, ControlInput, Point2, pose_from
-from rownav.nmpc import NmpcConfig, NmpcController
+from rownav.nmpc import NmpcConfig, NmpcController, SolverStatus
 from rownav.pipeline import (LaneModel, PerceptionResult, PerceptionStatus,
                              apply_safety_margin)
 from rownav.supervisor import (Detection, FallbackConfig, MissionSupervisor,
@@ -223,3 +224,22 @@ def test_replay_reproduces_mode_sequence():
         return [sup.tick(*args)[1].mode for args in stream]
 
     assert run() == run()
+
+
+def test_solver_error_takes_infeasible_path(monkeypatch):
+    """An exception out of the solver other than InfeasibleError stops the
+    rover and realigns, with its text in the note; tick does not raise."""
+    sup = make_supervisor()
+    sup.tick(pose_from(0, 0, 0), ok_lane())
+    assert sup.nmpc.last_sequence is not None
+
+    def broken_solve(*args, **kwargs):
+        raise ValueError("x0 violates bound constraints")
+
+    monkeypatch.setattr(nmpc, "solve", broken_solve)
+    cmd, info = sup.tick(pose_from(0.3, 0, 0), ok_lane())
+    assert cmd == ControlInput(0.0, 0.0)
+    assert info.mode is Mode.FALLBACK_REALIGN
+    assert info.solver_status is SolverStatus.INFEASIBLE
+    assert info.note == "solver error: ValueError: x0 violates bound constraints"
+    assert sup.nmpc.last_sequence is None     # no warm start from before the fault
