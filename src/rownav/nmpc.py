@@ -30,6 +30,16 @@ the same C pow. Do not replace the penalty loop with array arithmetic:
 np.sum adds the terms in another order, which moves the last bits of the
 objective and so the iterates.
 
+solve hands L-BFGS-B its gradient too (jac=True): the forward difference
+scipy's approx_derivative would take, with the same step (_FD_STEP, its
+fallback, and the sign flip or clamp at the input box) and the same
+(f_i - f0) / ((x + h) - x). Only the perturbed rollouts differ: a change
+to input i (step k = i // 2) cannot reach the states 0..k, the stage
+costs of steps 0..k-1 or the penalty over states 1..k, so each perturbed
+rollout resumes at step k from those values, recorded by the base
+rollout. The rest is added in the same order as a full rollout, penalty
+terms step by step, so each f_i is the same bits and the gradient too.
+
 A solve status describes the returned plan: CONVERGED for an optimizer
 result whose last L-BFGS-B run reported success, MAX_ITER for one whose
 run stopped short and for a baseline plan (zero input or the shifted warm
@@ -40,6 +50,7 @@ within solver_tol.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
@@ -61,6 +72,11 @@ _MAX_HEADING_PER_SUBSTEP = 0.1
 
 # Corridor widths below this count as borders that meet.
 _MIN_WIDTH = 1e-9
+
+# The forward-difference step L-BFGS-B hands approx_derivative (its eps
+# option), and the step approx_derivative falls back to where x + step == x.
+_FD_STEP = 1e-8
+_FD_FALLBACK = math.sqrt(sys.float_info.epsilon)
 
 
 class DegenerateCorridor(ValueError):
@@ -293,6 +309,25 @@ def meyer_cost_gradient(state: QuatPose, lane: LaneModel, K_travel: float
     return np.array([scale, scale * a, 0.0, 0.0])
 
 
+def _fd_step(x, lo, hi):
+    """The forward-difference step scipy's approx_derivative takes at x
+    for L-BFGS-B: absolute step _FD_STEP, its relative fallback where
+    x + step == x, then _adjust_scheme_to_bounds' one-sided rule in [lo, hi].
+    """
+    h = _FD_STEP
+    if (x + h) - x == 0.0:
+        h = _FD_FALLBACK * (1.0 if x >= 0 else -1.0) * max(1.0, abs(x))
+    lower, upper = x - lo, hi - x
+    if abs(h) <= max(lower, upper):
+        if not lo <= x + h <= hi:
+            h = -h
+    elif upper >= lower:
+        h = upper
+    else:
+        h = -lower
+    return h
+
+
 class _Candidate(NamedTuple):
     u: np.ndarray
     cost: float
@@ -318,34 +353,51 @@ def solve(state: QuatPose, lane: LaneModel, obstacles, u_prev: ControlInput,
     start = (float(state.x1), float(state.x2), float(state.x3), float(state.x4))
     v_prev, w_prev = float(u_prev.v), float(u_prev.omega)
 
-    def evaluate(u_flat):
-        """(objective, sum of squared violations, max violation, rollout)."""
-        u = u_flat.tolist()
-        states = [start]
-        cost = 0.0
-        pv, pw = v_prev, w_prev
-        for k in range(n):
+    def rollout(u, k0, states, cost, pen, worst, prefix=None):
+        """(objective, sum of squared violations, max violation, rollout) of
+        the input list u, resumed at step k0: states holds at least the
+        states 0..k0, cost the stage costs of steps 0..k0-1, pen and worst
+        the clearance terms of states 1..k0. prefix, if given, receives
+        (cost, pen, worst) before each step."""
+        states = states[:k0 + 1]
+        pv, pw = (v_prev, w_prev) if k0 == 0 else (u[2 * k0 - 2], u[2 * k0 - 1])
+        for k in range(k0, n):
+            if prefix is not None:
+                prefix.append((cost, pen, worst))
             v, w = u[2 * k], u[2 * k + 1]
             cost = _add_stage(cost, *states[k], v, w, pv, pw, lane, cfg)
-            states.append(_integrate_raw(*states[k], v, w, cfg.dt))
+            nxt = _integrate_raw(*states[k], v, w, cfg.dt)
+            states.append(nxt)
+            sx, sy = nxt[0], nxt[1]
+            for ox, oy in obs:
+                g = r2 - (sx - ox) ** 2 - (sy - oy) ** 2
+                if g > 0.0:
+                    pen += g * g
+                    if g > worst:
+                        worst = g
             pv, pw = v, w
         cost += _travel_term(states[n][0], states[n][1], lane, cfg.K_travel)
-        pen = 0.0
-        worst = 0.0
-        if obs:
-            for k in range(1, n + 1):
-                sx, sy = states[k][0], states[k][1]
-                for ox, oy in obs:
-                    g = r2 - (sx - ox) ** 2 - (sy - oy) ** 2
-                    if g > 0.0:
-                        pen += g * g
-                        if g > worst:
-                            worst = g
         return cost, pen, worst, states
 
+    def evaluate(u_flat):
+        return rollout(u_flat.tolist(), 0, [start], 0.0, 0.0, 0.0)
+
     def penalized(u_flat, mu):
-        cost, pen, _, _ = evaluate(u_flat)
-        return cost + mu * pen
+        """The penalized objective and its forward-difference gradient, as
+        scipy's approx_derivative takes it; input i (step i // 2) is
+        perturbed in a rollout resumed from the base rollout's prefix."""
+        u = u_flat.tolist()
+        prefix = []
+        cost, pen, _, states = rollout(u, 0, [start], 0.0, 0.0, 0.0, prefix)
+        f = cost + mu * pen
+        grad = []
+        for i, x in enumerate(u):
+            xh = x + _fd_step(x, lo_list[i], hi_list[i])
+            u[i] = xh
+            cost_i, pen_i, _, _ = rollout(u, i // 2, states, *prefix[i // 2])
+            u[i] = x
+            grad.append(((cost_i + mu * pen_i) - f) / (xh - x))
+        return f, np.array(grad)
 
     def baseline(u_flat):
         cost, _, worst, states = evaluate(u_flat)
@@ -353,6 +405,7 @@ def solve(state: QuatPose, lane: LaneModel, obstacles, u_prev: ControlInput,
 
     bounds = [(-cfg.v_max, cfg.v_max), (-cfg.omega_max, cfg.omega_max)] * n
     lo, hi = np.array(bounds).T
+    lo_list, hi_list = lo.tolist(), hi.tolist()
 
     warm = warm_start is not None and len(warm_start.inputs) == n
     if warm:
@@ -370,7 +423,7 @@ def solve(state: QuatPose, lane: LaneModel, obstacles, u_prev: ControlInput,
         u_cur = u_start
         for _ in range(cfg.solver_max_iter):
             res = minimize(penalized, u_cur, args=(mu,), method="L-BFGS-B",
-                           bounds=bounds,
+                           jac=True, bounds=bounds,
                            options={"maxiter": 200, "ftol": 1e-12, "gtol": 1e-8})
             iterations += int(res.nit)
             u_cur = np.clip(res.x, lo, hi)

@@ -445,7 +445,8 @@ def process(cloud, cfg: PipelineConfig) -> PerceptionResult:
     physical obstacles), capped at cfg.max_obstacle_points. Invalid depth
     returns are dropped first and counted in dropped_points: points with a
     NaN or infinite coordinate, and points at exactly (0, 0, 0), where
-    depth sensors put pixels that returned no range.
+    depth sensors put pixels that returned no range. An exception out of
+    any later stage becomes an INVALID_LANE result whose reason names it.
     """
     pts = _as_cloud(cloud)
     n_in = len(pts)
@@ -454,7 +455,14 @@ def process(cloud, cfg: PipelineConfig) -> PerceptionResult:
     # has x == 0).
     if not (np.isfinite(pts).all() and pts[:, 0].all()):
         pts = pts[np.isfinite(pts).all(axis=1) & pts.any(axis=1)]
-    result = _perceive(pts, cfg)
+    try:
+        result = _perceive(pts, cfg)
+    except Exception as exc:
+        # process stays total: a fault in any stage rejects the frame, the
+        # way MissionSupervisor.tick turns a solver error into INFEASIBLE.
+        result = PerceptionResult(
+            PerceptionStatus.INVALID_LANE,
+            reason=f"perception error: {type(exc).__name__}: {exc}")
     dropped = n_in - len(pts)
     return replace(result, dropped_points=dropped) if dropped else result
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import OptimizeResult
+from scipy.optimize._numdiff import approx_derivative  # what L-BFGS-B calls
 
 from rownav import nmpc
 from rownav.core import BorderLine, ControlInput, QuatPose, heading_of, pose_from
@@ -467,7 +468,7 @@ def _float64_objective(u_flat, mu, pose, ln, obstacles, u_prev, cfg):
 
 
 def test_objective_runs_on_floats_bit_equal_to_float64_loop(monkeypatch):
-    """The objective returns a Python float, bit-equal to the np.float64
+    """The objective value is a Python float, bit-equal to the np.float64
     loop: same L-BFGS-B iterates, at a fraction of the scalar overhead."""
     rng = np.random.default_rng(21)
     lo = np.array([-CFG.v_max, -CFG.omega_max] * CFG.horizon_n)
@@ -479,12 +480,65 @@ def test_objective_runs_on_floats_bit_equal_to_float64_loop(monkeypatch):
         for _ in range(25):
             u = rng.uniform(lo, -lo)
             mu = args[0] * CFG.penalty_growth ** int(rng.integers(0, 8))
-            got = fun(u, mu)
+            got, _ = fun(u, mu)
             assert type(got) is float
             ref = _float64_objective(u, mu, pose, ln, obstacles, u_prev, CFG)
             assert got.hex() == float(ref).hex()
             checked += 1
     assert checked == 200
+
+
+def _box_point(rng, lo, n_faces, n_zeros):
+    """A uniform point in the input box with n_faces coordinates moved onto
+    a face and n_zeros onto 0.0."""
+    u = rng.uniform(lo, -lo)
+    picked = rng.permutation(len(u))
+    faces, zeros = picked[:n_faces], picked[n_faces:n_faces + n_zeros]
+    u[faces] = lo[faces] * rng.choice([-1.0, 1.0], size=n_faces)
+    u[zeros] = 0.0
+    return u
+
+
+def test_objective_gradient_bit_equal_to_approx_derivative(monkeypatch):
+    """The gradient the objective returns is the one scipy's 2-point
+    approx_derivative takes of the np.float64 reference loop with
+    L-BFGS-B's step and bounds, bit for bit: the same steps, flipped at
+    the upper face of the box, and each resumed rollout the same values as
+    a full one. A third of the points have coordinates on a face."""
+    rng = np.random.default_rng(22)
+    lo = np.array([-CFG.v_max, -CFG.omega_max] * CFG.horizon_n)
+    hi = -lo
+    checked = on_face = 0
+    for n_obs in [0] * 4 + [1, 3, 8, 16]:
+        pose, ln, _, u_prev = _random_instance(rng)
+        obstacles = rng.uniform([0.0, -0.6], [1.5, 0.6], size=(n_obs, 2))
+        fun, args = _captured_objective(monkeypatch, pose, ln, obstacles, u_prev)
+        for j in range(25):
+            n_faces = int(rng.integers(1, 5)) if j % 2 == 0 else 0
+            u = _box_point(rng, lo, n_faces, int(rng.integers(0, 3)))
+            mu = args[0] * CFG.penalty_growth ** int(rng.integers(0, 8))
+            f, g = fun(u, mu)
+            ref = approx_derivative(
+                _float64_objective, u, method="2-point", abs_step=1e-8, f0=f,
+                bounds=(lo, hi), args=(mu, pose, ln, obstacles, u_prev, CFG))
+            assert [x.hex() for x in g.tolist()] == [x.hex() for x in ref.tolist()]
+            checked += 1
+            on_face += bool(np.any(np.abs(u) == hi))
+    assert checked == 200 and on_face >= checked // 3
+
+
+@pytest.mark.parametrize("x, lo, hi", [
+    (0.0, -0.4, 0.4), (0.25, -0.4, 0.4), (-0.4, -0.4, 0.4), (0.4, -0.4, 0.4),
+    (0.4 - 5e-9, -0.4, 0.4),          # x + step leaves the box: flip
+    (1e9, -2e9, 2e9), (-1e9, -2e9, 2e9),   # x + step == x: relative step
+    (2e-9, 0.0, 5e-9), (3e-9, 0.0, 5e-9),  # step does not fit: clamp
+])
+def test_fd_step_is_approx_derivative_step(x, lo, hi):
+    seen = []
+    approx_derivative(lambda z: seen.append(z[0]) or 0.0, np.array([x]),
+                      method="2-point", abs_step=1e-8, f0=0.0,
+                      bounds=(np.array([lo]), np.array([hi])))
+    assert (x + nmpc._fd_step(x, lo, hi)).hex() == float(seen[0]).hex()
 
 
 box_instances = st.tuples(

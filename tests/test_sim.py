@@ -1,8 +1,12 @@
+import gc
 import math
 
 import numpy as np
 import pytest
 
+from rownav import pipeline
+from rownav.cli import resolve_config_path
+from rownav.config import load_scenario
 from rownav.core import ControlInput, heading_of, pose_from
 from rownav.pipeline import PipelineConfig, PerceptionStatus, process
 from rownav.nmpc import NmpcConfig
@@ -265,3 +269,41 @@ def test_run_scenario_max_ticks_bound():
                        max_ticks=10)
     assert len(log.records) == 10
     assert not log.completed
+
+
+def test_perception_error_becomes_invalid_lane(monkeypatch):
+    """An exception out of a pipeline stage is an INVALID_LANE result that
+    names it, and the closed loop runs on with that reason in its notes."""
+    def broken(*args, **kwargs):
+        raise RuntimeError("kNN tree exploded")
+
+    monkeypatch.setattr(pipeline, "knn_outlier_filter", broken)
+    world = quick_world()
+    cloud = render_cloud(world, pose_from(2.0, 0, 0), quick_camera())
+    res = process(cloud, PipelineConfig())
+    reason = "perception error: RuntimeError: kNN tree exploded"
+    assert res.status is PerceptionStatus.INVALID_LANE
+    assert res.reason == reason and res.lane is None
+    log = run_scenario(world, pose_from(0, 0, 0), quick_camera(),
+                       PipelineConfig(), NmpcConfig(), FallbackConfig(),
+                       max_ticks=5)
+    assert len(log.records) == 5
+    assert all(r.perception_status is PerceptionStatus.INVALID_LANE
+               for r in log.records)
+    assert reason in log.records[0].note
+
+
+def test_run_scenario_retains_no_objects_between_passes():
+    """A pass leaves nothing behind once its log is dropped: the third pass
+    ends with as many live objects as the second (the first may fill
+    import-time and first-call caches)."""
+    cfg = load_scenario(resolve_config_path("sim_obstacle"))
+    world = generate_world(cfg.world)
+    start = pose_from(cfg.start.x, cfg.start.y, cfg.start.theta)
+    counts = []
+    for _ in range(3):
+        run_scenario(world, start, cfg.camera, cfg.pipeline, cfg.nmpc,
+                     cfg.fallback, cfg.targets, max_ticks=20)
+        gc.collect()
+        counts.append(len(gc.get_objects()))
+    assert counts[2] == counts[1]
