@@ -41,6 +41,13 @@ def resolve_config_path(name: str) -> str:
     raise ConfigError([f"config: no such file or bundled scenario: {name}"])
 
 
+def _config_errors(messages) -> int:
+    """Print each message as a config error; return the config-error exit code."""
+    for message in messages:
+        print(f"config error: {message}", file=sys.stderr)
+    return 2
+
+
 def _write_trajectory_csv(log: RunLog, path: str) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -75,12 +82,9 @@ def _cmd_run(args) -> int:
     try:
         cfg = load_scenario(resolve_config_path(args.config))
     except ConfigError as exc:
-        for message in exc.errors:
-            print(f"config error: {message}", file=sys.stderr)
-        return 2
+        return _config_errors(exc.errors)
     except (OSError, yaml.YAMLError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+        return _config_errors([exc])
     if args.seed is not None:
         cfg.world.seed = args.seed
 
@@ -168,9 +172,7 @@ def _cmd_check(args) -> int:
             metrics = json.load(fh)
         thresholds = _load_thresholds(args.thresholds)
     except ConfigError as exc:
-        for message in exc.errors:
-            print(f"config error: {message}", file=sys.stderr)
-        return 2
+        return _config_errors(exc.errors)
     except (OSError, ValueError, yaml.YAMLError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -201,12 +203,9 @@ def _cmd_sweep(args) -> int:
             raise ConfigError([f"{args.grid}: expected a mapping of key -> list"])
         scenario_from_dict(base)  # validate the baseline before sweeping
     except ConfigError as exc:
-        for message in exc.errors:
-            print(f"config error: {message}", file=sys.stderr)
-        return 2
+        return _config_errors(exc.errors)
     except (OSError, yaml.YAMLError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+        return _config_errors([exc])
 
     keys = sorted(grid)
     value_lists = [grid[k] if isinstance(grid[k], list) else [grid[k]] for k in keys]

@@ -89,13 +89,17 @@ def _coerce_scalar(value, target, path: str, errors: list[str]):
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             errors.append(f"{path}: expected an integer, got {value!r}")
             return target
-        if isinstance(value, float) and value != int(value):
+        if isinstance(value, float) and not (math.isfinite(value)
+                                             and value == int(value)):
             errors.append(f"{path}: expected an integer, got {value!r}")
             return target
         return int(value)
     if isinstance(target, float):
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             errors.append(f"{path}: expected a number, got {value!r}")
+            return target
+        if not math.isfinite(value):
+            errors.append(f"{path}: expected a finite number, got {value!r}")
             return target
         return float(value)
     if isinstance(target, str):
@@ -177,10 +181,9 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
                 if name not in THRESHOLD_SENSE:
                     errors.append(f"{here}.{name}: unknown metric "
                                   f"(expected one of {sorted(THRESHOLD_SENSE)})")
-                elif isinstance(bound, bool) or not isinstance(bound, (int, float)):
-                    errors.append(f"{here}.{name}: expected a number")
                 else:
-                    cfg.thresholds[name] = float(bound)
+                    cfg.thresholds[name] = _coerce_scalar(bound, 0.0, f"{here}.{name}",
+                                                          errors)
         else:
             current = getattr(cfg, key)
             setattr(cfg, key, _build_dataclass(type(current), value, here, errors))
@@ -203,8 +206,6 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
     errors.extend(cfg.fallback.validate("fallback"))
     for i, tgt in enumerate(cfg.targets):
         errors.extend(tgt.validate(f"targets[{i}]"))
-    if not math.isfinite(cfg.start.theta):
-        errors.append("start.theta: must be finite")
     if cfg.traverse_length is not None:
         if not 0.0 < cfg.traverse_length <= cfg.world.row_length:
             errors.append("traverse_length: must be in (0, world.row_length]")

@@ -175,10 +175,13 @@ class PerceptionResult:
 
 
 def _as_cloud(cloud) -> np.ndarray:
+    """Read a cloud as an (N, 3) float array; any other shape is a ValueError."""
     pts = np.asarray(cloud, dtype=float)
     if pts.size == 0:
         return pts.reshape(0, 3)
-    return pts.reshape(-1, 3)
+    if pts.ndim != 2 or pts.shape[1] != 3:
+        raise ValueError(f"expected an (N, 3) point cloud, got shape {pts.shape}")
+    return pts
 
 
 def voxel_downsample(cloud, r_v: float) -> np.ndarray:
@@ -446,16 +449,19 @@ def process(cloud, cfg: PipelineConfig) -> PerceptionResult:
     returns are dropped first and counted in dropped_points: points with a
     NaN or infinite coordinate, and points at exactly (0, 0, 0), where
     depth sensors put pixels that returned no range. An exception out of
-    any later stage becomes an INVALID_LANE result whose reason names it.
+    any stage, a cloud that is not (N, 3) included, becomes an INVALID_LANE
+    result whose reason names it.
     """
-    pts = _as_cloud(cloud)
-    n_in = len(pts)
-    # The row mask and its copy cost ms on a dense frame, so build them
-    # only when a whole-array check finds a bad value (a zero-range point
-    # has x == 0).
-    if not (np.isfinite(pts).all() and pts[:, 0].all()):
-        pts = pts[np.isfinite(pts).all(axis=1) & pts.any(axis=1)]
+    dropped = 0
     try:
+        pts = _as_cloud(cloud)
+        # The row mask and its copy cost ms on a dense frame, so build them
+        # only when a whole-array check finds a bad value (a zero-range
+        # point has x == 0).
+        if not (np.isfinite(pts).all() and pts[:, 0].all()):
+            n_in = len(pts)
+            pts = pts[np.isfinite(pts).all(axis=1) & pts.any(axis=1)]
+            dropped = n_in - len(pts)
         result = _perceive(pts, cfg)
     except Exception as exc:
         # process stays total: a fault in any stage rejects the frame, the
@@ -463,7 +469,6 @@ def process(cloud, cfg: PipelineConfig) -> PerceptionResult:
         result = PerceptionResult(
             PerceptionStatus.INVALID_LANE,
             reason=f"perception error: {type(exc).__name__}: {exc}")
-    dropped = n_in - len(pts)
     return replace(result, dropped_points=dropped) if dropped else result
 
 

@@ -4,7 +4,9 @@ An explicit finite-state machine stands in for the orchestration layer:
 traversal hands commands to the receding-horizon controller, perception
 faults or an infeasible solve drop into a proportional realignment spin,
 a detected target switches to a point-approach law, and a debounced run
-of empty views declares the end of the row and stops the rover.
+of empty views declares the end of the row and stops the rover. Every
+command leaves a tick through one exit, saturated to the NMPC input box
+and recorded with the controller as the applied input.
 
 Everything the controller consumes is expressed in the current rover
 frame, so traversal always queries it from the identity pose. The only
@@ -75,8 +77,6 @@ class SupervisorState:
     row_heading_world: float | None = None   # lane-backed reference only
     pending_row_heading: float | None = None  # candidate awaiting confirmation
     empty_fov_streak: int = 0
-    active_target: Point2 | None = None
-    standoff: float = 0.5
     search_sign: float | None = None         # latched cold-start spin direction
 
 
@@ -130,11 +130,10 @@ def target_approach_control(state: QuatPose, target: Point2, standoff: float,
 class MissionSupervisor:
     """Single-owner state machine; call tick() once per control period."""
 
-    def __init__(self, nmpc: NmpcController, fallback_cfg: FallbackConfig | None = None,
-                 initial_mode: Mode = Mode.TRAVERSE):
+    def __init__(self, nmpc: NmpcController, fallback_cfg: FallbackConfig | None = None):
         self.nmpc = nmpc
         self.fallback_cfg = fallback_cfg or FallbackConfig()
-        self.state = SupervisorState(mode=initial_mode)
+        self.state = SupervisorState()
 
     @property
     def mode(self) -> Mode:
@@ -145,21 +144,19 @@ class MissionSupervisor:
         self.state = SupervisorState(mode=mode)
         self.nmpc.reset()
 
-    def _remember_row_direction(self, heading: float,
-                                perception: PerceptionResult) -> None:
+    def _remember_row_direction(self, proposed: float | None) -> None:
         """Track the world-frame row direction implied by accepted lanes.
 
-        The reference moves at most max_row_heading_rate per tick: the real
-        row direction changes slowly, and an uncapped reference can ratchet
-        away on a run of slightly biased fits, taking the recovery behaviors
-        with it. Establishing the reference in the first place takes two
-        consecutive accepted lanes that agree on the row direction, so one
-        hallucinated fit during a cold start cannot seed it.
+        proposed is None on a tick without an accepted lane. The reference
+        moves at most max_row_heading_rate per tick: the real row direction
+        changes slowly, and an uncapped reference can ratchet away on a run
+        of slightly biased fits, taking the recovery behaviors with it.
+        Establishing it takes two consecutive accepted lanes that agree on
+        the row direction, so one hallucinated fit cannot seed it.
         """
-        if not (perception.ok and perception.lane is not None):
+        if proposed is None:
             self.state.pending_row_heading = None
             return
-        proposed = wrap_angle(heading + math.atan(perception.lane.a_avg))
         current = self.state.row_heading_world
         if current is not None:
             delta = wrap_angle(proposed - current)
@@ -193,9 +190,7 @@ class MissionSupervisor:
                     sum(math.atan2(p[1], p[0]) for p in nearest) / len(nearest))
                 sign = -1.0 if mean_az >= 0.0 else 1.0
             self.state.search_sign = sign
-        omega = self.state.search_sign * min(self.fallback_cfg.search_omega,
-                                             self.nmpc.cfg.omega_max)
-        return ControlInput(0.0, omega)
+        return ControlInput(0.0, self.state.search_sign * self.fallback_cfg.search_omega)
 
     def tick(self, pose: QuatPose, perception: PerceptionResult,
              detection: Detection | None = None
@@ -208,17 +203,15 @@ class MissionSupervisor:
         """
         st = self.state
         heading = heading_of(pose)
-        cmd = ControlInput(0.0, 0.0)
-        solver_status: SolverStatus | None = None
-        note = ""
+        implied = (wrap_angle(heading + math.atan(perception.lane.a_avg))
+                   if perception.ok and perception.lane is not None else None)
 
         # Row-direction continuity: a freshly accepted lane whose implied
         # row heading leaps away from the remembered one within one tick is
         # a mis-fit (e.g. both borders on the same physical wall), not a
         # row that actually turned. Treat it as a rejected lane.
-        if perception.ok and st.row_heading_world is not None:
-            proposed = wrap_angle(heading + math.atan(perception.lane.a_avg))
-            jump = abs(wrap_angle(proposed - st.row_heading_world))
+        if implied is not None and st.row_heading_world is not None:
+            jump = abs(wrap_angle(implied - st.row_heading_world))
             if jump > self.fallback_cfg.max_row_heading_jump:
                 perception = PerceptionResult(
                     PerceptionStatus.INVALID_LANE,
@@ -229,106 +222,88 @@ class MissionSupervisor:
             st.empty_fov_streak = 0
         elif perception.status is PerceptionStatus.EMPTY_FOV:
             st.empty_fov_streak += 1
-        self._remember_row_direction(heading, perception)
+        self._remember_row_direction(implied if perception.ok else None)
         if st.row_heading_world is not None:
             st.search_sign = None
 
+        # The one exit: saturate to the NMPC input box, record as applied.
+        cmd, solver_status, note = self._transition(heading, perception, detection)
+        box = self.nmpc.cfg
+        cmd = ControlInput(max(-box.v_max, min(box.v_max, cmd.v)),
+                           max(-box.omega_max, min(box.omega_max, cmd.omega)))
+        self.nmpc.notify_applied(cmd)
+        return cmd, TickInfo(st.mode, perception.status, solver_status, note)
+
+    def _transition(self, heading: float, perception: PerceptionResult,
+                    detection: Detection | None
+                    ) -> tuple[ControlInput, SolverStatus | None, str]:
+        """Update the mode; return the raw command, solver status and note."""
+        st = self.state
+        fb = self.fallback_cfg
+        omega_max = self.nmpc.cfg.omega_max
+        stop = ControlInput(0.0, 0.0)
+        note = ""
+
         if st.mode is Mode.IDLE or st.mode is Mode.END_OF_ROW:
-            return cmd, TickInfo(st.mode, perception.status, None, "holding")
+            return stop, None, "holding"
 
         if (st.mode in (Mode.TRAVERSE, Mode.FALLBACK_REALIGN)
-                and st.empty_fov_streak >= self.fallback_cfg.n_empty_for_end):
+                and st.empty_fov_streak >= fb.n_empty_for_end):
             st.mode = Mode.END_OF_ROW
-            return cmd, TickInfo(st.mode, perception.status, None, "row cleared")
+            return stop, None, "row cleared"
 
         if st.mode is Mode.FALLBACK_REALIGN:
-            if st.row_heading_world is not None:
-                err = wrap_angle(heading - st.row_heading_world)
-                if abs(err) <= self.fallback_cfg.align_tol:
-                    st.mode = Mode.TRAVERSE
-                    note = "realigned"
-                else:
-                    cmd = fallback_control(err, self.fallback_cfg,
-                                           self.nmpc.cfg.omega_max)
-                    self.nmpc.notify_applied(cmd)
-                    return cmd, TickInfo(st.mode, perception.status, None,
-                                         "realigning")
-            else:
-                # No confirmed row direction yet (a confirming lane would
-                # have set it during bookkeeping above): keep searching.
-                cmd = self._search_command(perception)
-                self.nmpc.notify_applied(cmd)
-                return cmd, TickInfo(st.mode, perception.status, None,
-                                     "searching for the row")
+            if st.row_heading_world is None:
+                # No row direction confirmed yet, not even by this tick's lane.
+                return self._search_command(perception), None, "searching for the row"
+            err = wrap_angle(heading - st.row_heading_world)
+            if abs(err) > fb.align_tol:
+                return fallback_control(err, fb, omega_max), None, "realigning"
+            st.mode = Mode.TRAVERSE
+            note = "realigned"
 
         if st.mode is Mode.TRAVERSE and detection is not None:
             st.mode = Mode.TARGET_APPROACH
-            st.active_target = detection.target
-            st.standoff = detection.standoff
 
         if st.mode is Mode.TARGET_APPROACH:
+            approach = None  # sighting lost or consumed: resume the row
             if detection is not None:
-                st.active_target = detection.target
-                st.standoff = detection.standoff
                 approach = target_approach_control(
-                    pose_from(0.0, 0.0, 0.0), st.active_target, st.standoff,
-                    self.nmpc.cfg.v_max, self.nmpc.cfg.omega_max)
-            else:
-                approach = None  # sighting lost or consumed: resume the row
+                    pose_from(0.0, 0.0, 0.0), detection.target, detection.standoff,
+                    self.nmpc.cfg.v_max, omega_max)
             if approach is None:
                 st.mode = Mode.TRAVERSE
-                st.active_target = None
-                self.nmpc.notify_applied(cmd)
-                return cmd, TickInfo(st.mode, perception.status, None,
-                                     "target reached, resuming row")
-            self.nmpc.notify_applied(approach)
-            return approach, TickInfo(st.mode, perception.status, None, "approaching")
+                return stop, None, "target reached, resuming row"
+            return approach, None, "approaching"
 
         # Traverse proper.
         if perception.ok:
             try:
                 cmd = self.nmpc.control_step(pose_from(0.0, 0.0, 0.0),
                                              perception.lane, perception.obstacles)
-                solver_status = self.nmpc.last_sequence.status
+                return cmd, self.nmpc.last_sequence.status, note
             except Exception as exc:
                 # tick stays total: any solver fault stops the rover and
                 # realigns, and the next OK lane solves from a cold start.
-                solver_status = SolverStatus.INFEASIBLE
-                cmd = ControlInput(0.0, 0.0)
                 st.mode = Mode.FALLBACK_REALIGN
-                note = (f"solver infeasible: {exc}" if isinstance(exc, InfeasibleError)
-                        else f"solver error: {type(exc).__name__}: {exc}")
                 self.nmpc.reset()
-        elif perception.status is PerceptionStatus.INVALID_LANE:
-            if st.row_heading_world is not None:
-                err = wrap_angle(heading - st.row_heading_world)
-                if abs(err) > self.fallback_cfg.align_tol:
-                    st.mode = Mode.FALLBACK_REALIGN
-                    cmd = fallback_control(err, self.fallback_cfg,
-                                           self.nmpc.cfg.omega_max)
-                    note = f"lane rejected: {perception.reason}"
-                else:
-                    # Already aligned with the remembered row direction:
-                    # creep ahead so the run can reach the empty-view stop
-                    # instead of freezing on a borderline perception.
-                    cmd = ControlInput(
-                        self.fallback_cfg.creep_v,
-                        max(-self.nmpc.cfg.omega_max,
-                            min(self.nmpc.cfg.omega_max,
-                                -self.fallback_cfg.K_p * err)))
-                    note = f"lane rejected, aligned: creeping ({perception.reason})"
-            else:
-                st.mode = Mode.FALLBACK_REALIGN
-                cmd = self._search_command(perception)
-                note = f"lane rejected, searching ({perception.reason})"
-            self.nmpc.notify_applied(cmd)
-        else:
+                return stop, SolverStatus.INFEASIBLE, (
+                    f"solver infeasible: {exc}" if isinstance(exc, InfeasibleError)
+                    else f"solver error: {type(exc).__name__}: {exc}")
+        if perception.status is not PerceptionStatus.INVALID_LANE:
             # Empty view below the debounce threshold: hold still this tick.
-            note = "empty view, waiting"
-            self.nmpc.notify_applied(cmd)
-
-        v_max = self.nmpc.cfg.v_max
-        omega_max = self.nmpc.cfg.omega_max
-        cmd = ControlInput(max(-v_max, min(v_max, cmd.v)),
-                           max(-omega_max, min(omega_max, cmd.omega)))
-        return cmd, TickInfo(st.mode, perception.status, solver_status, note)
+            return stop, None, "empty view, waiting"
+        if st.row_heading_world is None:
+            st.mode = Mode.FALLBACK_REALIGN
+            return (self._search_command(perception), None,
+                    f"lane rejected, searching ({perception.reason})")
+        err = wrap_angle(heading - st.row_heading_world)
+        realign = fallback_control(err, fb, omega_max)
+        if abs(err) > fb.align_tol:
+            st.mode = Mode.FALLBACK_REALIGN
+            return realign, None, f"lane rejected: {perception.reason}"
+        # Already aligned with the remembered row direction: creep ahead so
+        # the run can reach the empty-view stop instead of freezing on a
+        # borderline perception.
+        return (ControlInput(fb.creep_v, realign.omega), None,
+                f"lane rejected, aligned: creeping ({perception.reason})")

@@ -59,6 +59,22 @@ def test_run_config_error_exit_two(tmp_path, capsys):
     assert "pipeline.f_points" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("section, key, value", [
+    ("nmpc", "horizon_n", float("inf")),
+    (None, "max_ticks", float("nan")),
+    ("fallback", "creep_v", float("nan")),
+])
+def test_run_non_finite_config_exit_two(tmp_path, capsys, section, key, value):
+    bad = tmp_path / "bad.yaml"
+    data = yaml.safe_load(yaml.safe_dump(FAST_SCENARIO))
+    (data.setdefault(section, {}) if section else data)[key] = value
+    bad.write_text(yaml.safe_dump(data))
+    code = main(["run", "--config", str(bad), "--out", str(tmp_path / "out")])
+    assert code == 2
+    path = f"{section}.{key}" if section else key
+    assert f"config error: {path}: " in capsys.readouterr().err
+
+
 def test_run_missing_config_exit_two(tmp_path, capsys):
     code = main(["run", "--config", str(tmp_path / "nope.yaml"),
                  "--out", str(tmp_path / "out")])

@@ -93,3 +93,20 @@ def test_yaml_load_errors_surface(tmp_path):
     path.write_text("pipeline: [not, a, mapping]")
     with pytest.raises(ConfigError):
         load_scenario(str(path))
+
+
+@pytest.mark.parametrize("data, field", [
+    ({"fallback": {"creep_v": float("nan")}}, "fallback.creep_v"),
+    ({"nmpc": {"R_safe": float("nan")}}, "nmpc.R_safe"),
+    ({"start": {"theta": float("inf")}}, "start.theta"),
+    ({"world": {"row_length": float("-inf")}}, "world.row_length"),
+    ({"nmpc": {"horizon_n": float("inf")}}, "nmpc.horizon_n"),
+    ({"max_ticks": float("nan")}, "max_ticks"),
+    ({"thresholds": {"mae": float("nan")}}, "thresholds.mae"),
+])
+def test_non_finite_numbers_rejected_with_path(data, field):
+    """NaN and +-inf are config errors in float and integer fields alike,
+    named by their dotted path; none reaches a range check or int()."""
+    with pytest.raises(ConfigError) as exc:
+        scenario_from_dict(data)
+    assert [e for e in exc.value.errors if e.startswith(f"{field}: ")]

@@ -516,6 +516,20 @@ def test_process_drops_zero_range_points():
     assert (res.dropped_points, ref.dropped_points) == (len(cloud[::50]), 0)
 
 
+@pytest.mark.parametrize("frame", [np.zeros(4), None, np.zeros((6, 2)),
+                                   np.zeros((3, 4))],
+                         ids=["flat", "none", "xy", "xyzi"])
+def test_process_rejects_a_frame_that_is_not_n_by_3(frame):
+    """A frame that is not an (N, 3) cloud (a truncated flat buffer, no
+    frame, XY or XYZI columns) is rejected with a reason, never reshaped
+    into points or raised."""
+    res = process(frame, PipelineConfig())
+    assert res.status is PerceptionStatus.INVALID_LANE
+    assert res.lane is None and res.dropped_points == 0
+    assert res.reason.startswith("perception error: ValueError: ")
+    assert "(N, 3)" in res.reason
+
+
 def _scenario_frames(config):
     """The scenario's pipeline config and depth frames rendered from its
     start pose and 1 m and 2 m further along +x, plus the first frame with

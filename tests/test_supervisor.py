@@ -192,19 +192,41 @@ def test_recovers_to_traverse_within_two_ticks():
 
 
 def test_commands_always_saturated():
-    rng = np.random.default_rng(12)
-    sup = make_supervisor()
-    cfg = sup.nmpc.cfg
-    perceptions = [ok_lane(), invalid(), empty()]
-    for k in range(30):
-        perc = perceptions[int(rng.integers(0, 3))]
-        det = Detection(Point2(rng.uniform(-3, 3), rng.uniform(-2, 2)), 0.5) \
-            if rng.random() < 0.3 else None
-        pose = pose_from(rng.uniform(-1, 1), rng.uniform(-1, 1),
-                         rng.uniform(-math.pi, math.pi))
-        cmd, _ = sup.tick(pose, perc, det)
-        assert abs(cmd.v) <= cfg.v_max + 1e-12
-        assert abs(cmd.omega) <= cfg.omega_max + 1e-12
+    """Every command is inside the NMPC box, also when the fallback speeds
+    are not, and is what the controller records as the applied input."""
+    for fallback_kwargs in ({}, {"v_during_realign": 0.6, "creep_v": 0.6,
+                                 "search_omega": 0.9}):
+        rng = np.random.default_rng(12)
+        sup = make_supervisor(**fallback_kwargs)
+        cfg = sup.nmpc.cfg
+        perceptions = [ok_lane(), invalid(), empty()]
+        for k in range(30):
+            perc = perceptions[int(rng.integers(0, 3))]
+            det = Detection(Point2(rng.uniform(-3, 3), rng.uniform(-2, 2)), 0.5) \
+                if rng.random() < 0.3 else None
+            pose = pose_from(rng.uniform(-1, 1), rng.uniform(-1, 1),
+                             rng.uniform(-math.pi, math.pi))
+            cmd, _ = sup.tick(pose, perc, det)
+            assert abs(cmd.v) <= cfg.v_max + 1e-12
+            assert abs(cmd.omega) <= cfg.omega_max + 1e-12
+            assert sup.nmpc._u_prev == cmd
+
+
+def test_fallback_speeds_outside_box_saturated_and_recorded():
+    """The creep and realignment exits clip a configured speed above v_max
+    to the box, and the controller records the clipped command."""
+    sup = make_supervisor(v_during_realign=0.6, creep_v=0.6)
+    v_max = sup.nmpc.cfg.v_max
+    for _ in range(2):  # two agreeing lanes establish the row direction
+        sup.tick(pose_from(0, 0, 0), ok_lane())
+    steps = [(0.0, "lane rejected, aligned: creeping (test)"),
+             (0.5, "lane rejected: test"),
+             (0.5, "realigning")]
+    for heading, note in steps:
+        cmd, info = sup.tick(pose_from(0, 0, heading), invalid())
+        assert info.note == note
+        assert cmd.v == v_max
+        assert sup.nmpc._u_prev == cmd
 
 
 def test_replay_reproduces_mode_sequence():
