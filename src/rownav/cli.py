@@ -130,23 +130,20 @@ def _cmd_run(args) -> int:
 
 
 def check_thresholds(metrics: dict, thresholds: dict) -> tuple[bool, list[str]]:
-    """Compare metrics to bounds; returns (all_ok, report lines)."""
+    """Compare metrics to bounds on known metrics, as `_load_thresholds` reads
+    them; returns (all_ok, report lines)."""
     lines = []
     ok = True
     if not thresholds:
         lines.append("warning: no thresholds given, vacuous pass")
         return True, lines
     for name in sorted(thresholds):
-        bound = thresholds[name]
-        sense = THRESHOLD_SENSE.get(name)
-        if sense is None:
-            ok = False
-            lines.append(f"FAIL {name}: unknown metric")
-            continue
+        bound, sense = thresholds[name], THRESHOLD_SENSE[name]
         value = metrics.get(name)
-        if value is None:
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
             ok = False
-            lines.append(f"FAIL {name}: missing from metrics file")
+            why = "missing from" if value is None else f"{value!r} is not a number in"
+            lines.append(f"FAIL {name}: {why} metrics file")
             continue
         passed = {"<=": value <= bound, ">=": value >= bound,
                   "==": value == bound}[sense]
@@ -156,20 +153,24 @@ def check_thresholds(metrics: dict, thresholds: dict) -> tuple[bool, list[str]]:
     return ok, lines
 
 
-def _load_thresholds(path: str) -> dict:
+def _load_thresholds(path: str) -> dict[str, float]:
+    """Bounds from a thresholds YAML or a scenario's thresholds block,
+    read by the same rules as a scenario's."""
     with open(path, "r", encoding="utf-8") as fh:
         data = yaml.safe_load(fh)
     if isinstance(data, dict) and "thresholds" in data:
         data = data["thresholds"]
     if not isinstance(data, dict):
         raise ConfigError([f"{path}: expected a mapping of metric bounds"])
-    return data
+    return scenario_from_dict({"thresholds": data}).thresholds
 
 
 def _cmd_check(args) -> int:
     try:
         with open(args.metrics, "r", encoding="utf-8") as fh:
             metrics = json.load(fh)
+        if not isinstance(metrics, dict):
+            raise ValueError(f"{args.metrics}: expected a JSON object of metrics")
         thresholds = _load_thresholds(args.thresholds)
     except ConfigError as exc:
         return _config_errors(exc.errors)

@@ -4,19 +4,26 @@ One nested mapping per scenario. Unknown keys are hard errors (silent
 typos in tuning parameters are the dominant failure mode), every error
 is reported with its dotted field path, and all units are SI with angles
 in radians.
+
+One builder, `_build`, reads every section, the top level and `rownav
+check`'s bounds included: it types each field from its annotation and
+then runs that section's own `validate`.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+import sys
+import types
+import typing
 from dataclasses import dataclass, field
 
 import yaml
 
 from .nmpc import NmpcConfig
 from .pipeline import LANE_MODES, PipelineConfig
-from .sim import CameraSpec, ObstacleSpec, TargetSpec, WorldSpec
+from .sim import CameraSpec, TargetSpec, WorldSpec
 from .supervisor import FallbackConfig
 
 # thresholds understood by the regression gate, with their comparison sense
@@ -72,145 +79,94 @@ class ScenarioConfig:
             return self.world.intra_row_space / 4.0
         return 0.0
 
+    def validate(self, path: str = "") -> list[str]:
+        errs = [f"thresholds.{name}: unknown metric "
+                f"(expected one of {sorted(THRESHOLD_SENSE)})"
+                for name in self.thresholds if name not in THRESHOLD_SENSE]
+        if self.traverse_length is not None:
+            if not 0.0 < self.traverse_length <= self.world.row_length:
+                errs.append("traverse_length: must be in (0, world.row_length]")
+        if self.max_ticks < 1:
+            errs.append("max_ticks: must be >= 1")
+        return errs
 
-_LIST_FIELDS = {
-    ("WorldSpec", "extra_obstacles"): ObstacleSpec,
-    ("ScenarioConfig", "targets"): TargetSpec,
-}
+
+# stands for a value that failed to coerce; the field keeps its default
+_INVALID = object()
+
+_SCALAR_KINDS = {bool: "a boolean", int: "an integer", float: "a number", str: "a string"}
 
 
-def _coerce_scalar(value, target, path: str, errors: list[str]):
-    if isinstance(target, bool):
-        if isinstance(value, bool):
+def _typed(tp, value, path: str, errors: list[str]):
+    """`value` coerced to the annotation `tp`, or _INVALID after an error."""
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin is types.UnionType:        # X | None
+        return None if value is None else _typed(args[0], value, path, errors)
+    if origin is list:
+        if not isinstance(value, list):
+            errors.append(f"{path}: expected a list")
+            return _INVALID
+        return [_typed(args[0], item, f"{path}[{i}]", errors)
+                for i, item in enumerate(value)]
+    if origin is dict or dataclasses.is_dataclass(tp):
+        if value is not None and not isinstance(value, dict):
+            errors.append(f"{path}: expected a mapping")
+        value = value if isinstance(value, dict) else {}
+        if origin is dict:
+            return {key: _typed(args[1], item, f"{path}.{key}", errors)
+                    for key, item in value.items()}
+        return _build(tp, value, path, errors)
+    kind = _SCALAR_KINDS.get(tp)
+    if kind is None:
+        raise TypeError(f"{path}: no coercion for a field of type {tp!r}")
+    if tp is bool or tp is str:
+        if isinstance(value, tp):
             return value
-        errors.append(f"{path}: expected a boolean, got {value!r}")
-        return target
-    if isinstance(target, int) and not isinstance(target, bool):
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            errors.append(f"{path}: expected an integer, got {value!r}")
-            return target
-        if isinstance(value, float) and not (math.isfinite(value)
-                                             and value == int(value)):
-            errors.append(f"{path}: expected an integer, got {value!r}")
-            return target
-        return int(value)
-    if isinstance(target, float):
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            errors.append(f"{path}: expected a number, got {value!r}")
-            return target
-        if not math.isfinite(value):
-            errors.append(f"{path}: expected a finite number, got {value!r}")
-            return target
+    elif isinstance(value, bool) or not isinstance(value, (int, float)):
+        pass
+    elif tp is int:
+        if isinstance(value, int) or (math.isfinite(value) and value == int(value)):
+            return int(value)
+    elif abs(value) <= sys.float_info.max:   # finite, and an int within float range
         return float(value)
-    if isinstance(target, str):
-        if not isinstance(value, str):
-            errors.append(f"{path}: expected a string, got {value!r}")
-            return target
-        return value
-    errors.append(f"{path}: unsupported value {value!r}")
-    return target
+    else:
+        kind = "a finite number"
+    errors.append(f"{path}: expected {kind}, got {value!r}")
+    return _INVALID
 
 
-def _build_dataclass(cls, data, path: str, errors: list[str]):
+def _build(cls, data: dict, path: str, errors: list[str]):
+    """A `cls` from `data`: each key must name a field, each value is coerced
+    by the field's annotation (keeping the default if it fails, so one bad
+    field gives one error), then the object's own `validate` runs."""
     obj = cls()
-    if data is None:
-        return obj
-    if not isinstance(data, dict):
-        errors.append(f"{path}: expected a mapping")
-        return obj
-    names = {f.name for f in dataclasses.fields(cls)}
+    hints = typing.get_type_hints(cls)
     for key, value in data.items():
-        here = f"{path}.{key}"
-        if key not in names:
+        here = f"{path}.{key}" if path else key
+        if key not in hints:
             errors.append(f"{here}: unknown key")
             continue
-        current = getattr(obj, key)
-        item_cls = _LIST_FIELDS.get((cls.__name__, key))
-        if item_cls is not None:
-            if not isinstance(value, list):
-                errors.append(f"{here}: expected a list")
-                continue
-            items = []
-            for idx, entry in enumerate(value):
-                items.append(_build_dataclass(item_cls, entry,
-                                              f"{here}[{idx}]", errors))
-            setattr(obj, key, items)
-        elif dataclasses.is_dataclass(current):
-            setattr(obj, key, _build_dataclass(type(current), value, here, errors))
-        elif isinstance(current, dict):
-            if not isinstance(value, dict):
-                errors.append(f"{here}: expected a mapping")
-                continue
-            setattr(obj, key, dict(value))
-        else:
-            setattr(obj, key, _coerce_scalar(value, current, here, errors))
+        typed = _typed(hints[key], value, here, errors)
+        if typed is not _INVALID:
+            setattr(obj, key, typed)
+    if hasattr(obj, "validate"):
+        errors.extend(obj.validate(path))
     return obj
 
 
 def scenario_from_dict(data: dict) -> ScenarioConfig:
     """Build and validate a scenario from a nested mapping."""
-    errors: list[str] = []
     if not isinstance(data, dict):
         raise ConfigError(["top level: expected a mapping"])
     data = dict(data)
     lane_mode = data.pop("lane_mode", None)
-    traverse_length = data.pop("traverse_length", None)
-    max_ticks = data.pop("max_ticks", None)
-
-    cfg = ScenarioConfig()
-    known = {"world", "camera", "pipeline", "nmpc", "fallback", "start",
-             "targets", "thresholds"}
-    for key, value in data.items():
-        here = key
-        if key not in known:
-            errors.append(f"{here}: unknown key")
-            continue
-        if key == "targets":
-            if not isinstance(value, list):
-                errors.append(f"{here}: expected a list")
-                continue
-            cfg.targets = [_build_dataclass(TargetSpec, entry, f"{here}[{i}]", errors)
-                           for i, entry in enumerate(value)]
-        elif key == "thresholds":
-            if value is None:
-                continue
-            if not isinstance(value, dict):
-                errors.append(f"{here}: expected a mapping")
-                continue
-            for name, bound in value.items():
-                if name not in THRESHOLD_SENSE:
-                    errors.append(f"{here}.{name}: unknown metric "
-                                  f"(expected one of {sorted(THRESHOLD_SENSE)})")
-                else:
-                    cfg.thresholds[name] = _coerce_scalar(bound, 0.0, f"{here}.{name}",
-                                                          errors)
-        else:
-            current = getattr(cfg, key)
-            setattr(cfg, key, _build_dataclass(type(current), value, here, errors))
-
+    errors: list[str] = []
+    cfg = _build(ScenarioConfig, data, "", errors)
     if lane_mode is not None:
         if lane_mode not in LANE_MODES:
             errors.append(f"lane_mode: must be one of {LANE_MODES}")
         else:
             cfg.pipeline.lane_mode = lane_mode
-    if traverse_length is not None:
-        cfg.traverse_length = _coerce_scalar(traverse_length, 0.0,
-                                             "traverse_length", errors)
-    if max_ticks is not None:
-        cfg.max_ticks = _coerce_scalar(max_ticks, 1, "max_ticks", errors)
-
-    errors.extend(cfg.world.validate("world"))
-    errors.extend(cfg.camera.validate("camera"))
-    errors.extend(cfg.pipeline.validate("pipeline"))
-    errors.extend(cfg.nmpc.validate("nmpc"))
-    errors.extend(cfg.fallback.validate("fallback"))
-    for i, tgt in enumerate(cfg.targets):
-        errors.extend(tgt.validate(f"targets[{i}]"))
-    if cfg.traverse_length is not None:
-        if not 0.0 < cfg.traverse_length <= cfg.world.row_length:
-            errors.append("traverse_length: must be in (0, world.row_length]")
-    if cfg.max_ticks < 1:
-        errors.append("max_ticks: must be >= 1")
     if errors:
         raise ConfigError(errors)
     return cfg
@@ -219,26 +175,14 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
 def load_scenario(path: str) -> ScenarioConfig:
     with open(path, "r", encoding="utf-8") as fh:
         data = yaml.safe_load(fh)
-    if data is None:
-        data = {}
-    return scenario_from_dict(data)
+    return scenario_from_dict({} if data is None else data)
 
 
 def scenario_to_dict(cfg: ScenarioConfig) -> dict:
     """Normalized mapping for snapshots; round-trips through scenario_from_dict."""
-    out = {
-        "world": dataclasses.asdict(cfg.world),
-        "camera": dataclasses.asdict(cfg.camera),
-        "pipeline": dataclasses.asdict(cfg.pipeline),
-        "nmpc": dataclasses.asdict(cfg.nmpc),
-        "fallback": dataclasses.asdict(cfg.fallback),
-        "start": dataclasses.asdict(cfg.start),
-        "targets": [dataclasses.asdict(t) for t in cfg.targets],
-        "thresholds": dict(cfg.thresholds),
-        "max_ticks": cfg.max_ticks,
-    }
-    if cfg.traverse_length is not None:
-        out["traverse_length"] = cfg.traverse_length
+    out = dataclasses.asdict(cfg)
+    if cfg.traverse_length is None:
+        del out["traverse_length"]
     return out
 
 

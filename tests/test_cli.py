@@ -63,6 +63,7 @@ def test_run_config_error_exit_two(tmp_path, capsys):
     ("nmpc", "horizon_n", float("inf")),
     (None, "max_ticks", float("nan")),
     ("fallback", "creep_v", float("nan")),
+    pytest.param("nmpc", "R_safe", int("9" * 400), id="nmpc-R_safe-400-digits"),
 ])
 def test_run_non_finite_config_exit_two(tmp_path, capsys, section, key, value):
     bad = tmp_path / "bad.yaml"
@@ -144,6 +145,49 @@ def test_check_reads_thresholds_from_scenario(fast_config, tmp_path):
     metrics.write_text(json.dumps({"collisions": 0, "v_avg": 0.35}))
     assert main(["check", "--metrics", str(metrics),
                  "--thresholds", fast_config]) == 0
+
+
+@pytest.mark.parametrize("name, bound", [
+    ("mae", "abc"),
+    ("mae", float("nan")),
+    ("mse", float("inf")),
+    ("v_avg", float("-inf")),
+    ("collisions", True),
+    ("speed", 1.0),
+])
+def test_check_bounds_read_by_scenario_rules(tmp_path, capsys, name, bound):
+    """A bound that is not a finite number, or names no known metric, is a
+    config error naming thresholds.<name>, as it is in a scenario."""
+    metrics = tmp_path / "metrics.json"
+    metrics.write_text(json.dumps({"mae": 0.05, "mse": 0.01, "v_avg": 0.39,
+                                   "collisions": 0}))
+    th = tmp_path / "th.yaml"
+    th.write_text(yaml.safe_dump({name: bound}))
+    assert main(["check", "--metrics", str(metrics),
+                 "--thresholds", str(th)]) == 2
+    assert f"config error: thresholds.{name}: " in capsys.readouterr().err
+
+
+def test_check_metrics_file_not_an_object_exit_two(tmp_path, capsys):
+    metrics = tmp_path / "metrics.json"
+    metrics.write_text(json.dumps([1, 2]))
+    th = tmp_path / "th.yaml"
+    th.write_text(yaml.safe_dump({"mae": 0.1}))
+    assert main(["check", "--metrics", str(metrics),
+                 "--thresholds", str(th)]) == 2
+    assert "expected a JSON object" in capsys.readouterr().err
+
+
+def test_check_non_number_metric_fails_by_name(tmp_path, capsys):
+    metrics = tmp_path / "metrics.json"
+    metrics.write_text(json.dumps({"mae": "0.05", "collisions": 0}))
+    th = tmp_path / "th.yaml"
+    th.write_text(yaml.safe_dump({"mae": 0.1, "collisions": 0}))
+    assert main(["check", "--metrics", str(metrics),
+                 "--thresholds", str(th)]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL mae: " in out
+    assert "pass collisions = 0 (required == 0.0)" in out
 
 
 def test_sweep_rows_and_fault_isolation(fast_config, tmp_path, capsys):

@@ -1,7 +1,12 @@
+import dataclasses
+import typing
+from importlib import resources
+from pathlib import Path
+
 import pytest
 
-from rownav.config import (ConfigError, dump_scenario, load_scenario,
-                           scenario_from_dict, scenario_to_dict)
+from rownav.config import (THRESHOLD_SENSE, ConfigError, ScenarioConfig, dump_scenario,
+                           load_scenario, scenario_from_dict, scenario_to_dict)
 
 
 def test_defaults_build():
@@ -103,10 +108,108 @@ def test_yaml_load_errors_surface(tmp_path):
     ({"nmpc": {"horizon_n": float("inf")}}, "nmpc.horizon_n"),
     ({"max_ticks": float("nan")}, "max_ticks"),
     ({"thresholds": {"mae": float("nan")}}, "thresholds.mae"),
+    ({"nmpc": {"R_safe": 10**400}}, "nmpc.R_safe"),
+    ({"thresholds": {"mae": 10**400}}, "thresholds.mae"),
 ])
 def test_non_finite_numbers_rejected_with_path(data, field):
-    """NaN and +-inf are config errors in float and integer fields alike,
-    named by their dotted path; none reaches a range check or int()."""
+    """NaN, +-inf and integers past the float range are config errors in
+    float and integer fields alike, named by their dotted path; none
+    reaches a range check, float() or int()."""
     with pytest.raises(ConfigError) as exc:
         scenario_from_dict(data)
     assert [e for e in exc.value.errors if e.startswith(f"{field}: ")]
+
+
+def test_one_error_per_bad_field():
+    # a value that fails to coerce keeps the default (None), so no range
+    # check runs on a stand-in value
+    with pytest.raises(ConfigError) as exc:
+        scenario_from_dict({"traverse_length": "abc"})
+    assert [e for e in exc.value.errors if "traverse_length" in e] == [
+        "traverse_length: expected a number, got 'abc'"]
+
+
+# Non-default valid values the generic rule below cannot pick.
+_SPECIAL = {"pipeline.lane_mode": "left_half", "traverse_length": 10.0}
+
+
+def _non_default(tp, default, path):
+    """A valid value for a field of annotation `tp`, other than `default`."""
+    if path in _SPECIAL:
+        return _SPECIAL[path]
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if dataclasses.is_dataclass(tp):
+        return _every_field(tp, path)
+    if origin is list:
+        return [_every_field(args[0], f"{path}[0]")]
+    if origin is dict:
+        return {name: 0.5 for name in THRESHOLD_SENSE}
+    if tp is bool:
+        return not default
+    if tp is int:
+        return default + 1
+    if tp is float:
+        return 0.9 * default if default else 0.05
+    raise TypeError(f"{path}: no test value for a field of type {tp!r}")
+
+
+def _every_field(cls, path=""):
+    """A mapping that sets every field of `cls`, recursively, off its default."""
+    hints = typing.get_type_hints(cls)
+    default = cls()
+    return {f.name: _non_default(hints[f.name], getattr(default, f.name),
+                                 f"{path}.{f.name}" if path else f.name)
+            for f in dataclasses.fields(cls)}
+
+
+def _leaves(data, path=()):
+    """(key path, value) for every leaf of a nested mapping; lists are leaves."""
+    for key, value in data.items():
+        if isinstance(value, dict) and key != "thresholds":
+            yield from _leaves(value, path + (key,))
+        else:
+            yield path + (key,), value
+
+
+def _read(cfg, keys):
+    value = cfg
+    for key in keys:
+        value = getattr(value, key)
+    return value
+
+
+def _plain(value):
+    if isinstance(value, list):
+        return [dataclasses.asdict(item) for item in value]
+    return value
+
+
+def test_every_field_of_the_tree_round_trips():
+    """Each field reachable from ScenarioConfig, list entries, thresholds and
+    traverse_length included, is read from a mapping alone and all of them
+    together, and survives scenario_to_dict -> scenario_from_dict."""
+    data = _every_field(ScenarioConfig)
+    leaves = list(_leaves(data))
+    assert len(leaves) > 60
+    for keys, value in leaves:
+        single = value
+        for key in reversed(keys):
+            single = {key: single}
+        cfg = scenario_from_dict(single)
+        assert _plain(_read(cfg, keys)) == value, keys
+        assert _plain(_read(ScenarioConfig(), keys)) != value, keys
+    cfg = scenario_from_dict(data)
+    assert scenario_to_dict(cfg) == data
+    assert scenario_from_dict(scenario_to_dict(cfg)) == cfg
+
+
+_SHIPPED = [str(resources.files("rownav").joinpath("scenarios", name))
+            for name in ("sim_straight.yaml", "sim_curved.yaml", "sim_half_lane.yaml",
+                         "sim_obstacle.yaml", "sim_misaligned.yaml", "sim_target.yaml")]
+_SHIPPED.append(str(Path(__file__).resolve().parents[1] / "bench" / "pergola_dense.yaml"))
+
+
+@pytest.mark.parametrize("path", _SHIPPED, ids=lambda p: Path(p).stem)
+def test_shipped_scenarios_round_trip(path):
+    cfg = load_scenario(path)
+    assert scenario_from_dict(scenario_to_dict(cfg)) == cfg
