@@ -8,7 +8,7 @@ off-center correction, and an obstacle blocking the middle of the lane.
 
 from rownav.core import BorderLine, ControlInput, pose_from
 from rownav.nmpc import NmpcConfig, solve
-from rownav.pipeline import LaneModel, apply_safety_margin
+from rownav.pipeline import LaneModel
 
 cfg = NmpcConfig()
 print(f"horizon: {cfg.horizon_n} steps x {cfg.dt} s, "
@@ -25,9 +25,8 @@ def show(title, seq):
     print()
 
 
-narrow = apply_safety_margin(
-    LaneModel(BorderLine(0.0, 0.75, "left"),
-              BorderLine(0.0, -0.75, "right"), 0.0), 0.3)
+narrow = LaneModel(BorderLine(0.0, 0.75, "left"),
+                   BorderLine(0.0, -0.75, "right"), 0.3)
 
 show("centered and aligned: full speed ahead",
      solve(pose_from(0, 0, 0), narrow, [], ControlInput(0, 0), cfg))
@@ -35,8 +34,7 @@ show("centered and aligned: full speed ahead",
 show("0.3 m left of center: steer back right",
      solve(pose_from(0, 0.3, 0), narrow, [], ControlInput(0, 0), cfg))
 
-wide = apply_safety_margin(
-    LaneModel(BorderLine(0.0, 1.25, "left"),
-              BorderLine(0.0, -1.25, "right"), 0.0), 0.3)
+wide = LaneModel(BorderLine(0.0, 1.25, "left"),
+                 BorderLine(0.0, -1.25, "right"), 0.3)
 show("obstacle at (1.2, 0) in a wide lane: the plan bends around it",
      solve(pose_from(0, 0, 0), wide, [(1.2, 0.0)], ControlInput(0.4, 0), cfg))

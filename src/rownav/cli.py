@@ -48,6 +48,16 @@ def _config_errors(messages) -> int:
     return 2
 
 
+def _override_seed(cfg: ScenarioConfig, seed: int | None) -> ScenarioConfig:
+    """`cfg` with a --seed override applied and checked as world.seed is."""
+    if seed is not None:
+        cfg.world.seed = seed
+        errors = cfg.world.validate()
+        if errors:
+            raise ConfigError(errors)
+    return cfg
+
+
 def _write_trajectory_csv(log: RunLog, path: str) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -80,13 +90,12 @@ def execute_scenario(cfg: ScenarioConfig) -> tuple[RunLog, MetricsReport | None]
 
 def _cmd_run(args) -> int:
     try:
-        cfg = load_scenario(resolve_config_path(args.config))
+        cfg = _override_seed(load_scenario(resolve_config_path(args.config)),
+                             args.seed)
     except ConfigError as exc:
         return _config_errors(exc.errors)
     except (OSError, yaml.YAMLError) as exc:
         return _config_errors([exc])
-    if args.seed is not None:
-        cfg.world.seed = args.seed
 
     out_dir = args.out
     os.makedirs(out_dir, exist_ok=True)
@@ -202,7 +211,8 @@ def _cmd_sweep(args) -> int:
             grid = yaml.safe_load(fh) or {}
         if not isinstance(grid, dict):
             raise ConfigError([f"{args.grid}: expected a mapping of key -> list"])
-        scenario_from_dict(base)  # validate the baseline before sweeping
+        # validate the baseline and the seed override before sweeping
+        _override_seed(scenario_from_dict(base), args.seed)
     except ConfigError as exc:
         return _config_errors(exc.errors)
     except (OSError, yaml.YAMLError) as exc:
@@ -219,9 +229,7 @@ def _cmd_sweep(args) -> int:
         try:
             for key, value in zip(keys, combo):
                 _set_dotted(data, key, value)
-            cfg = scenario_from_dict(data)
-            if args.seed is not None:
-                cfg.world.seed = args.seed
+            cfg = _override_seed(scenario_from_dict(data), args.seed)
             log, report = execute_scenario(cfg)
             if log.collision:
                 rows.append((label, "collision", None))

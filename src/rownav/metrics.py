@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -34,16 +34,7 @@ class MetricsReport:
     collisions: int
 
     def as_dict(self) -> dict:
-        return {
-            "clearance_time": self.clearance_time,
-            "v_avg": self.v_avg,
-            "cum_gamma_avg": self.cum_gamma_avg,
-            "gamma_std": self.gamma_std,
-            "omega_std": self.omega_std,
-            "mae": self.mae,
-            "mse": self.mse,
-            "collisions": self.collisions,
-        }
+        return asdict(self)
 
     def as_json(self) -> str:
         return json.dumps(self.as_dict(), indent=2, sort_keys=True)

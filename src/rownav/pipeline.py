@@ -4,8 +4,12 @@ Turns a rover-frame 3D cloud into two fitted row border lines plus the 2D
 obstacle points the controller consumes. Stages, in order: voxel
 downsampling, k-NN statistical noise removal, height crop, empty-view
 check, 2D occupancy projection, occlusion fill behind occupied cells,
-per-column border extraction, least-squares line fits, safety-margin
-inflation, optional half-lane split, and validity checks.
+per-column border extraction, least-squares line fits, and the lane gate
+(`lane_from_borders`). A frame is rejected as INVALID_LANE when a border
+is missing, or when the gate finds, in this order: borders that diverge,
+the sensor outside the fitted corridor, a corridor that the safety margin
+(applied after the optional half-lane split) collapses, or a border too
+close to perpendicular.
 """
 
 from __future__ import annotations
@@ -28,10 +32,6 @@ SHADOW_ANGLE_BINS = 2048
 
 class InsufficientSamples(ValueError):
     """Raised when a border fit has fewer than two distinct sample columns."""
-
-
-class CorridorCollapsed(ValueError):
-    """Raised when margin inflation leaves no free corridor at x = 0."""
 
 
 class PerceptionStatus(Enum):
@@ -134,7 +134,12 @@ class OccupancyGrid:
 
 @dataclass(frozen=True)
 class LaneModel:
-    """Fitted borders plus the derived middle line and inflated borders."""
+    """Fitted borders plus the derived middle line and inflated borders.
+
+    Each inflated border is its border shifted toward the corridor by
+    `margin`, perpendicular to itself: the slope stays, the intercept
+    moves by margin * sqrt(1 + a^2).
+    """
 
     left: BorderLine
     right: BorderLine
@@ -313,39 +318,32 @@ def extract_border_samples(grid: OccupancyGrid) -> tuple[np.ndarray, np.ndarray]
     the gaps between plants. Each side also stops at its last directly
     observed column: beyond the final plant the fill produces a diverging
     wedge along the last sight lines, occluded space rather than border.
+    The filled cells are taken to include the observed ones, as
+    `shadow_fill` makes them.
     """
     xs = grid.x_centers()
     ys = grid.y_centers()
-    pos_mask = ys > 0.0
-    neg_mask = ys < 0.0
     seen = grid.observed if grid.observed is not None else grid.occupied
-    left_cols = np.nonzero(seen[:, pos_mask].any(axis=1))[0]
-    right_cols = np.nonzero(seen[:, neg_mask].any(axis=1))[0]
-    last_left = int(left_cols.max()) if left_cols.size else -1
-    last_right = int(right_cols.max()) if right_cols.size else -1
-    left, right = [], []
-    for i in range(grid.nx):
-        js_seen = np.nonzero(seen[i])[0]
-        js_fill = np.nonzero(grid.occupied[i])[0]
-        if js_fill.size == 0:
-            continue
-        seen_y = ys[js_seen]
-        fill_y = ys[js_fill]
-        if i <= last_left:
-            pos = seen_y[seen_y > 0.0]
-            if pos.size == 0:
-                pos = fill_y[fill_y > 0.0]
-            if pos.size:
-                left.append((xs[i], pos.min()))
-        if i <= last_right:
-            neg = seen_y[seen_y < 0.0]
-            if neg.size == 0:
-                neg = fill_y[fill_y < 0.0]
-            if neg.size:
-                right.append((xs[i], neg.max()))
-    left_arr = np.array(left, dtype=float).reshape(-1, 2)
-    right_arr = np.array(right, dtype=float).reshape(-1, 2)
-    return left_arr, right_arr
+    pos = ys > 0.0
+    neg = ys < 0.0
+    # y_centers ascend, so each side's lateral axis runs innermost first
+    # once the right side is reversed.
+    return (_innermost(xs, ys[pos], seen[:, pos], grid.occupied[:, pos]),
+            _innermost(xs, ys[neg][::-1], seen[:, neg][:, ::-1],
+                       grid.occupied[:, neg][:, ::-1]))
+
+
+def _innermost(xs: np.ndarray, ys: np.ndarray, seen: np.ndarray,
+               filled: np.ndarray) -> np.ndarray:
+    """(x, y) of the first cell of each column, over the observed cells where
+    the column saw any and the filled cells elsewhere, up to the last column
+    that saw any."""
+    saw = seen.any(axis=1)
+    if not saw.any():
+        return np.empty((0, 2))
+    cells = np.where(saw[:, None], seen, filled)[:np.flatnonzero(saw)[-1] + 1]
+    hit = cells.any(axis=1)
+    return np.column_stack([xs[:len(cells)][hit], ys[cells.argmax(axis=1)[hit]]])
 
 
 def fit_border_line(samples, side: str) -> BorderLine:
@@ -363,48 +361,43 @@ def fit_border_line(samples, side: str) -> BorderLine:
     return BorderLine(a, b, side)
 
 
-def apply_safety_margin(lane: LaneModel, R: float) -> LaneModel:
-    """Shift the borders toward the corridor interior by distance R.
+def lane_from_borders(left: BorderLine, right: BorderLine,
+                      cfg: PipelineConfig) -> LaneModel | str:
+    """The lane two fitted borders give, or the reason they give none.
 
-    The shift is perpendicular to each border, so intercepts move by
-    R*sqrt(1 + a^2) while slopes stay fixed.
+    Two gates a hallucinated lane (both fits on the same physical wall,
+    seen obliquely) fails while any real row passes: the row sides are
+    near-parallel, and the sensor sits between them. Then the half-lane
+    modes put the middle line in place of one border (right_half: the
+    rover travels centered in the right half, i.e. at 3/4 of the full
+    row width from the left border; left_half mirrors that), and the
+    safety margin shifts each border toward the corridor by
+    cfg.safety_margin_R, perpendicular to it. Last, the shifted borders
+    must leave a corridor at x = 0, and no border may be too close to
+    perpendicular.
     """
-    out = LaneModel(lane.left, lane.right, R)
-    if out.inflated_left.b <= out.inflated_right.b:
-        raise CorridorCollapsed(
-            f"margin {R} m leaves no corridor at x=0 "
-            f"(left {out.inflated_left.b:.3f} <= right {out.inflated_right.b:.3f})")
-    return out
-
-
-def split_lane(lane: LaneModel, mode: str) -> LaneModel:
-    """Restrict the lane to one half of the row, re-applying margins.
-
-    right_half replaces the left border with the middle line (the rover
-    then travels centered in the right half, i.e. at 3/4 of the full row
-    width from the left border); left_half mirrors that.
-    """
-    if mode == "full":
-        return lane
-    if mode == "right_half":
-        new_left = BorderLine(lane.middle.a, lane.middle.b, "left")
-        return apply_safety_margin(LaneModel(new_left, lane.right, 0.0), lane.margin)
-    if mode == "left_half":
-        new_right = BorderLine(lane.middle.a, lane.middle.b, "right")
-        return apply_safety_margin(LaneModel(lane.left, new_right, 0.0), lane.margin)
-    raise ValueError(f"unknown lane mode: {mode!r}")
-
-
-def validate_lane(lane: LaneModel, max_perp_angle: float) -> str | None:
-    """Return a rejection reason, or None when the lane is usable."""
+    divergence = abs(math.atan(left.a) - math.atan(right.a))
+    if divergence > cfg.max_border_divergence:
+        return f"borders diverge by {divergence:.2f} rad"
+    if not left.b > 0.0 > right.b:
+        return "sensor origin outside the fitted corridor"
+    lane = LaneModel(left, right, cfg.safety_margin_R)
+    if cfg.lane_mode == "right_half":
+        lane = LaneModel(replace(lane.middle, side="left"), right, lane.margin)
+    elif cfg.lane_mode == "left_half":
+        lane = LaneModel(left, replace(lane.middle, side="right"), lane.margin)
+    # |sqrt(1 + a_l^2) - sqrt(1 + a_r^2)| < 2 sqrt(1 + a_m^2), so a half
+    # corridor collapses whenever the full one does: one check covers both.
+    if lane.inflated_left.b <= lane.inflated_right.b:
+        return (f"margin {lane.margin} m leaves no corridor at x=0 "
+                f"(left {lane.inflated_left.b:.3f} <= "
+                f"right {lane.inflated_right.b:.3f})")
     for border in (lane.left, lane.right):
-        if abs(math.atan(border.a)) >= max_perp_angle:
+        if abs(math.atan(border.a)) >= cfg.max_perp_angle:
             return (f"{border.side} border at "
                     f"{math.degrees(math.atan(border.a)):.1f} deg is too close "
                     f"to perpendicular")
-    if lane.inflated_left.b <= lane.inflated_right.b:
-        return "corridor collapsed after margin inflation"
-    return None
+    return lane
 
 
 def _cap_obstacles(points: np.ndarray, limit: int) -> np.ndarray:
@@ -414,7 +407,9 @@ def _cap_obstacles(points: np.ndarray, limit: int) -> np.ndarray:
     rover point: a pure range cap fills up with lateral wall cells and can
     starve the controller of the actual blocking obstacle ahead. Selection
     alternates between the y > 0 and y <= 0 sides so a marginally nearer
-    wall cannot crowd the other border out of the constraint set.
+    wall cannot crowd the other border out of the constraint set: the k-th
+    nearest of each side come before the (k+1)-th of either, the nearer
+    of the two first, the y > 0 one on a tie.
     """
     if len(points) <= limit:
         return points
@@ -422,19 +417,12 @@ def _cap_obstacles(points: np.ndarray, limit: int) -> np.ndarray:
                         np.abs(points[:, 1]),
                         np.hypot(points[:, 0], points[:, 1]))
     rng = np.hypot(points[:, 0], points[:, 1])
+    right = points[:, 1] <= 0.0
     order = np.lexsort((rng, ray_dist))
-    pos = [i for i in order if points[i, 1] > 0.0]
-    neg = [i for i in order if points[i, 1] <= 0.0]
-    chosen: list[int] = []
-    rank = 0
-    while len(chosen) < limit and (rank < len(pos) or rank < len(neg)):
-        pair = [side[rank] for side in (pos, neg) if rank < len(side)]
-        pair.sort(key=lambda i: (ray_dist[i], rng[i]))
-        for i in pair:
-            if len(chosen) < limit:
-                chosen.append(i)
-        rank += 1
-    return points[np.array(chosen)]
+    in_order = right[order]
+    rank = np.empty(len(points), dtype=np.int64)
+    rank[order] = np.where(in_order, np.cumsum(in_order), np.cumsum(~in_order))
+    return points[np.lexsort((right, rng, ray_dist, rank))[:limit]]
 
 
 def process(cloud, cfg: PipelineConfig) -> PerceptionResult:
@@ -484,7 +472,7 @@ def _perceive(pts: np.ndarray, cfg: PipelineConfig) -> PerceptionResult:
     filled = shadow_fill(grid)
     left_samples, right_samples = extract_border_samples(filled)
 
-    borders: dict[str, BorderLine | None] = {"left": None, "right": None}
+    borders: dict[str, BorderLine] = {}
     for side, samples in (("left", left_samples), ("right", right_samples)):
         # A mid-lane obstacle owns the innermost cell of its columns, which
         # would drag the fitted border into the corridor: samples sitting
@@ -502,31 +490,10 @@ def _perceive(pts: np.ndarray, cfg: PipelineConfig) -> PerceptionResult:
             borders[side] = fit_border_line(samples, side)
         except InsufficientSamples:
             pass
-    if borders["left"] is None or borders["right"] is None:
-        missing = [s for s in ("left", "right") if borders[s] is None]
+    missing = [side for side in ("left", "right") if side not in borders]
+    lane = (f"missing border: {', '.join(missing)}" if missing
+            else lane_from_borders(borders["left"], borders["right"], cfg))
+    if isinstance(lane, str):
         return PerceptionResult(PerceptionStatus.INVALID_LANE, obstacles=obstacles,
-                                reason=f"missing border: {', '.join(missing)}")
-
-    # Two sanity checks a hallucinated lane (both fits on the same physical
-    # wall, seen obliquely) fails while any real row passes: the row sides
-    # are near-parallel, and the sensor sits between them.
-    divergence = abs(math.atan(borders["left"].a) - math.atan(borders["right"].a))
-    if divergence > cfg.max_border_divergence:
-        return PerceptionResult(PerceptionStatus.INVALID_LANE, obstacles=obstacles,
-                                reason=f"borders diverge by {divergence:.2f} rad")
-    if not (borders["left"].b > 0.0 > borders["right"].b):
-        return PerceptionResult(PerceptionStatus.INVALID_LANE, obstacles=obstacles,
-                                reason="sensor origin outside the fitted corridor")
-
-    try:
-        lane = apply_safety_margin(
-            LaneModel(borders["left"], borders["right"], 0.0), cfg.safety_margin_R)
-        lane = split_lane(lane, cfg.lane_mode)
-    except CorridorCollapsed as exc:
-        return PerceptionResult(PerceptionStatus.INVALID_LANE, obstacles=obstacles,
-                                reason=str(exc))
-    problem = validate_lane(lane, cfg.max_perp_angle)
-    if problem is not None:
-        return PerceptionResult(PerceptionStatus.INVALID_LANE, obstacles=obstacles,
-                                reason=problem)
+                                reason=lane)
     return PerceptionResult(PerceptionStatus.OK, lane=lane, obstacles=obstacles)

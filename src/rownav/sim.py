@@ -55,6 +55,8 @@ class WorldSpec:
             errs.append(f"{path}.noise_sigma: must be >= 0")
         if self.canopy_overhang < 0:
             errs.append(f"{path}.canopy_overhang: must be >= 0")
+        if self.seed < 0:
+            errs.append(f"{path}.seed: must be >= 0")
         if abs(self.curvature) > 0:
             if 1.0 / abs(self.curvature) <= self.intra_row_space:
                 errs.append(f"{path}.curvature: turn radius must exceed the row spacing")

@@ -18,8 +18,8 @@ from rownav.nmpc import (NmpcConfig, integrate_step, meyer_cost, solve,
                          stage_cost, stage_cost_gradients, lane_cost,
                          align_cost)
 from rownav.pipeline import (LaneModel, PipelineConfig, PerceptionStatus,
-                             OccupancyGrid, apply_safety_margin,
-                             knn_outlier_filter, process, shadow_fill)
+                             OccupancyGrid, knn_outlier_filter, process,
+                             shadow_fill)
 from rownav.sim import Mode, generate_world
 from rownav.supervisor import Mode as SupMode
 
@@ -192,11 +192,10 @@ def test_criterion_08_dynamics_suite():
     u_prev = ControlInput(0.2, 0.1)
     max_rel = 0.0
     for _ in range(100):
-        lane = apply_safety_margin(
-            LaneModel(BorderLine(rng.uniform(-0.2, 0.2), rng.uniform(0.6, 1.5),
-                                 "left"),
-                      BorderLine(rng.uniform(-0.2, 0.2), -rng.uniform(0.6, 1.5),
-                                 "right"), 0.0), 0.1)
+        lane = LaneModel(BorderLine(rng.uniform(-0.2, 0.2), rng.uniform(0.6, 1.5),
+                                    "left"),
+                         BorderLine(rng.uniform(-0.2, 0.2), -rng.uniform(0.6, 1.5),
+                                    "right"), 0.1)
         pose = pose_from(rng.uniform(-1, 3), rng.uniform(-0.4, 0.4),
                          rng.uniform(-0.9, 0.9))
         u = ControlInput(rng.uniform(-0.4, 0.4), rng.uniform(-0.5, 0.5))
@@ -224,11 +223,10 @@ def test_criterion_09_solver_properties():
     checked = 0
     for _ in range(50):
         a = rng.uniform(-0.2, 0.2)
-        lane = apply_safety_margin(
-            LaneModel(BorderLine(a + rng.uniform(-0.04, 0.04),
-                                 rng.uniform(0.7, 1.5), "left"),
-                      BorderLine(a + rng.uniform(-0.04, 0.04),
-                                 -rng.uniform(0.7, 1.5), "right"), 0.0), 0.1)
+        lane = LaneModel(BorderLine(a + rng.uniform(-0.04, 0.04),
+                                    rng.uniform(0.7, 1.5), "left"),
+                         BorderLine(a + rng.uniform(-0.04, 0.04),
+                                    -rng.uniform(0.7, 1.5), "right"), 0.1)
         pose = pose_from(0.0, rng.uniform(-0.3, 0.3), rng.uniform(-0.25, 0.25))
         u_prev = ControlInput(rng.uniform(0.0, 0.4), rng.uniform(-0.2, 0.2))
         obstacles = [(rng.uniform(1.2, 2.5), rng.uniform(-0.9, 0.9))]

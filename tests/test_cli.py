@@ -76,6 +76,28 @@ def test_run_non_finite_config_exit_two(tmp_path, capsys, section, key, value):
     assert f"config error: {path}: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, in_yaml", [
+    ("run", True), ("run", False), ("sweep", False)],
+    ids=["run-scenario-seed", "run-seed-override", "sweep-seed-override"])
+def test_negative_seed_is_a_config_error(tmp_path, capsys, command, in_yaml):
+    """A negative world seed, in the scenario or given as --seed, is named by
+    its field before any world is generated, and nothing is written."""
+    data = yaml.safe_load(yaml.safe_dump(FAST_SCENARIO))
+    if in_yaml:
+        data["world"]["seed"] = -1
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(yaml.safe_dump(data))
+    grid = tmp_path / "grid.yaml"
+    grid.write_text(yaml.safe_dump({"nmpc.K_lane": [0.5]}))
+    out = tmp_path / "out"
+    argv = [command, "--config", str(cfg), "--out", str(out)]
+    argv += ["--grid", str(grid)] if command == "sweep" else []
+    argv += [] if in_yaml else ["--seed", "-1"]
+    assert main(argv) == 2
+    assert "config error: world.seed: must be >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_run_missing_config_exit_two(tmp_path, capsys):
     code = main(["run", "--config", str(tmp_path / "nope.yaml"),
                  "--out", str(tmp_path / "out")])

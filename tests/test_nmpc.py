@@ -14,7 +14,7 @@ from rownav.nmpc import (DegenerateCorridor, NearPerpendicular,
                          dynamics, integrate_step, lane_cost, meyer_cost,
                          meyer_cost_gradient, obstacle_constraint, solve,
                          stage_cost, stage_cost_gradients)
-from rownav.pipeline import LaneModel, apply_safety_margin
+from rownav.pipeline import LaneModel
 
 
 def lane(a_l=0.0, b_l=0.75, a_r=0.0, b_r=-0.75, margin=0.0):
@@ -130,7 +130,7 @@ def test_lane_cost_halfway():
 
 
 def test_lane_cost_uses_inflated_lines():
-    inflated = apply_safety_margin(lane(), 0.3)  # borders at +-0.45
+    inflated = lane(margin=0.3)  # borders at +-0.45
     assert lane_cost(pose_from(0, 0.45, 0), inflated) == pytest.approx(1.0)
 
 
@@ -262,7 +262,7 @@ CFG = NmpcConfig()
 
 
 def test_solve_centered_goes_full_speed():
-    ln = apply_safety_margin(lane(), 0.3)
+    ln = lane(margin=0.3)
     seq = solve(pose_from(0, 0, 0), ln, [], ControlInput(0, 0), CFG)
     assert seq.status is SolverStatus.CONVERGED
     assert seq.inputs[0].v >= 0.95 * CFG.v_max
@@ -270,13 +270,13 @@ def test_solve_centered_goes_full_speed():
 
 
 def test_solve_offset_steers_back_to_center():
-    ln = apply_safety_margin(lane(), 0.3)
+    ln = lane(margin=0.3)
     seq = solve(pose_from(0, 0.3, 0), ln, [], ControlInput(0, 0), CFG)
     assert seq.inputs[0].omega < 0.0
 
 
 def test_solve_obstacle_constraint_respected():
-    ln = apply_safety_margin(lane(b_l=1.25, b_r=-1.25), 0.3)
+    ln = lane(b_l=1.25, b_r=-1.25, margin=0.3)
     seq = solve(pose_from(0, 0, 0), ln, [(0.5, 0.0)], ControlInput(0, 0), CFG)
     assert seq.max_constraint_violation <= CFG.solver_tol
     for st in seq.predicted_states[1:]:
@@ -285,7 +285,7 @@ def test_solve_obstacle_constraint_respected():
 
 
 def test_solve_infeasible_when_surrounded():
-    ln = apply_safety_margin(lane(b_l=1.25, b_r=-1.25), 0.3)
+    ln = lane(b_l=1.25, b_r=-1.25, margin=0.3)
     ring = [(0.25 * math.cos(a), 0.25 * math.sin(a))
             for a in np.linspace(0, 2 * math.pi, 16, endpoint=False)]
     seq = solve(pose_from(0, 0, 0), ln, ring, ControlInput(0, 0), CFG)
@@ -293,7 +293,8 @@ def test_solve_infeasible_when_surrounded():
 
 
 def _random_instance(rng, with_obstacle=False):
-    ln = apply_safety_margin(random_lane(rng), 0.1)
+    drawn = random_lane(rng)
+    ln = LaneModel(drawn.left, drawn.right, 0.1)
     pose = pose_from(0.0, rng.uniform(-0.3, 0.3), rng.uniform(-0.3, 0.3))
     u_prev = ControlInput(rng.uniform(-0.2, 0.4), rng.uniform(-0.2, 0.2))
     obstacles = []
@@ -397,7 +398,7 @@ def test_solve_violation_is_worst_obstacle_constraint():
     ring = [(0.25 * math.cos(a), 0.25 * math.sin(a))
             for a in np.linspace(0, 2 * math.pi, 16, endpoint=False)]
     instances.append((pose_from(0, 0, 0),
-                      apply_safety_margin(lane(b_l=1.25, b_r=-1.25), 0.3),
+                      lane(b_l=1.25, b_r=-1.25, margin=0.3),
                       ring, ControlInput(0, 0)))
     violated = 0
     for pose, ln, obstacles, u_prev in instances:
@@ -421,7 +422,7 @@ def test_solve_status_describes_returned_plan(monkeypatch, plan_v, success,
     plan = np.array([plan_v, 0.0] * CFG.horizon_n)
     monkeypatch.setattr(nmpc, "minimize", lambda *args, **kwargs: OptimizeResult(
         x=plan.copy(), success=success, nit=1))
-    ln = apply_safety_margin(lane(), 0.3)
+    ln = lane(margin=0.3)
     seq = solve(pose_from(0, 0, 0), ln, [], ControlInput(0, 0), CFG)
     assert [u.v for u in seq.inputs] == [max(plan_v, 0.0)] * CFG.horizon_n
     assert seq.status is expected
@@ -550,7 +551,7 @@ box_instances = st.tuples(
 
 def _box_instance(case):
     a, b_l, b_r, y, theta, v, w, obstacles = case
-    ln = apply_safety_margin(lane(a_l=a, b_l=b_l, a_r=a, b_r=-b_r), 0.1)
+    ln = lane(a_l=a, b_l=b_l, a_r=a, b_r=-b_r, margin=0.1)
     return pose_from(0.0, y, theta), ln, obstacles, ControlInput(v, w)
 
 
@@ -579,7 +580,7 @@ def test_solve_never_worse_than_feasible_stop_property(case):
 # ---------------------------------------------------------------- controller
 
 def test_control_step_matches_solve_first_input():
-    ln = apply_safety_margin(lane(), 0.3)
+    ln = lane(margin=0.3)
     ctrl = NmpcController(NmpcConfig())
     cmd = ctrl.control_step(pose_from(0, 0, 0), ln, [])
     seq = solve(pose_from(0, 0, 0), ln, [], ControlInput(0, 0), NmpcConfig())
@@ -587,7 +588,7 @@ def test_control_step_matches_solve_first_input():
 
 
 def test_control_step_deterministic_across_instances():
-    ln = apply_safety_margin(lane(a_l=0.05, a_r=0.03), 0.2)
+    ln = lane(a_l=0.05, a_r=0.03, margin=0.2)
     obstacles = [(1.5, 0.2)]
     cmds = []
     for _ in range(2):
@@ -601,7 +602,7 @@ def test_control_step_deterministic_across_instances():
 
 def test_control_step_infeasible_clears_warm_start():
     from rownav.nmpc import InfeasibleError
-    ln = apply_safety_margin(lane(b_l=1.25, b_r=-1.25), 0.3)
+    ln = lane(b_l=1.25, b_r=-1.25, margin=0.3)
     ctrl = NmpcController(NmpcConfig())
     ctrl.control_step(pose_from(0, 0, 0), ln, [])
     assert ctrl.last_sequence is not None

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -13,13 +14,12 @@ from rownav import pipeline
 from rownav.cli import resolve_config_path
 from rownav.config import load_scenario
 from rownav.core import BorderLine, pose_from
-from rownav.pipeline import (CorridorCollapsed, InsufficientSamples, LaneModel,
+from rownav.pipeline import (LANE_MODES, InsufficientSamples, LaneModel,
                              OccupancyGrid, PerceptionStatus, PipelineConfig,
-                             apply_safety_margin, extract_border_samples,
-                             fit_border_line, fov_empty_check, height_crop,
-                             knn_outlier_filter, process, project_to_grid,
-                             shadow_fill, split_lane, validate_lane,
-                             voxel_downsample)
+                             extract_border_samples, fit_border_line,
+                             fov_empty_check, height_crop, knn_outlier_filter,
+                             lane_from_borders, process, project_to_grid,
+                             shadow_fill, voxel_downsample)
 from rownav.sim import CameraSpec, WorldSpec, generate_world, render_cloud
 
 
@@ -334,6 +334,66 @@ def test_border_samples_inner_cell_wins():
     assert left[0, 1] == pytest.approx(ys[j_inner])
 
 
+def reference_extract_border_samples(grid):
+    """Per-column loop: in each column up to a side's last observed one,
+    the innermost observed cell of the side, else its innermost filled
+    cell."""
+    xs = grid.x_centers()
+    ys = grid.y_centers()
+    seen = grid.observed if grid.observed is not None else grid.occupied
+    left_cols = np.nonzero(seen[:, ys > 0.0].any(axis=1))[0]
+    right_cols = np.nonzero(seen[:, ys < 0.0].any(axis=1))[0]
+    last_left = int(left_cols.max()) if left_cols.size else -1
+    last_right = int(right_cols.max()) if right_cols.size else -1
+    left, right = [], []
+    for i in range(grid.nx):
+        js_fill = np.nonzero(grid.occupied[i])[0]
+        if js_fill.size == 0:
+            continue
+        seen_y = ys[np.nonzero(seen[i])[0]]
+        fill_y = ys[js_fill]
+        if i <= last_left:
+            pos = seen_y[seen_y > 0.0]
+            if pos.size == 0:
+                pos = fill_y[fill_y > 0.0]
+            if pos.size:
+                left.append((xs[i], pos.min()))
+        if i <= last_right:
+            neg = seen_y[seen_y < 0.0]
+            if neg.size == 0:
+                neg = fill_y[fill_y < 0.0]
+            if neg.size:
+                right.append((xs[i], neg.max()))
+    return (np.array(left, dtype=float).reshape(-1, 2),
+            np.array(right, dtype=float).reshape(-1, 2))
+
+
+def _grid_from_cells(nx, ny, cells, origin=(0.0, 0.0)):
+    occ = np.zeros((nx, ny), dtype=bool)
+    for i, j in cells:
+        occ[i, j] = True
+    return OccupancyGrid(0.05, 0.0, -0.025 * ny, occ, sensor_origin=origin)
+
+
+@given(occupancy_grids(), st.booleans())
+@example(_grid_from_cells(0, 0, []), False)
+@example(_grid_from_cells(12, 9, []), True)
+@example(_grid_from_cells(1, 9, [(0, 2), (0, 7)]), False)   # one column
+@example(_grid_from_cells(12, 1, [(3, 0)]), True)           # one cell, on y = 0
+# left side seen at columns 2 and 10 only: column 6, on the sight line
+# through the cell of column 2, is read through fill
+@example(_grid_from_cells(12, 16, [(2, 9), (10, 14)],
+                          origin=(0.025, 0.0)), True)
+def test_border_samples_match_per_column_reference(grid, fill):
+    if fill:
+        grid = shadow_fill(grid)
+    got = extract_border_samples(grid)
+    want = reference_extract_border_samples(grid)
+    for side_got, side_want in zip(got, want):
+        assert side_got.shape == side_want.shape
+        assert side_got.tobytes() == side_want.tobytes()
+
+
 def test_fit_exact_line():
     xs = np.linspace(0, 3, 25)
     samples = np.column_stack([xs, 0.1 * xs + 0.75])
@@ -370,72 +430,123 @@ def test_fit_insufficient_samples():
         fit_border_line([(1.0, 0.5), (1.0, 0.7)], "left")  # one distinct x
 
 
-# ---------------------------------------------------------------- lane ops
+# ---------------------------------------------------------------- lane gate
 
-def lane(a_l=0.0, b_l=0.75, a_r=0.0, b_r=-0.75, margin=0.0):
-    return LaneModel(BorderLine(a_l, b_l, "left"),
-                     BorderLine(a_r, b_r, "right"), margin)
+def gate(a_l=0.0, b_l=0.75, a_r=0.0, b_r=-0.75, **cfg):
+    return lane_from_borders(BorderLine(a_l, b_l, "left"),
+                             BorderLine(a_r, b_r, "right"), PipelineConfig(**cfg))
 
 
 def test_margin_flat_borders():
-    out = apply_safety_margin(lane(), 0.3)
+    out = gate(safety_margin_R=0.3)
     assert out.inflated_left.b == pytest.approx(0.45)
     assert out.inflated_right.b == pytest.approx(-0.45)
 
 
 def test_margin_zero_identity():
-    out = apply_safety_margin(lane(), 0.0)
+    out = gate(safety_margin_R=0.0)
     assert out.inflated_left.b == out.left.b
     assert out.inflated_right.b == out.right.b
 
 
 def test_margin_perpendicular_shift_on_slope():
-    out = apply_safety_margin(lane(a_l=1.0, b_l=1.0, a_r=1.0, b_r=-1.0), 0.1)
+    out = gate(a_l=1.0, b_l=1.0, a_r=1.0, b_r=-1.0, safety_margin_R=0.1)
     assert out.inflated_left.b == pytest.approx(1.0 - 0.1 * math.sqrt(2.0))
+    assert out.inflated_right.b == pytest.approx(-1.0 + 0.1 * math.sqrt(2.0))
+    assert (out.inflated_left.a, out.inflated_right.a) == (1.0, 1.0)
 
 
-def test_margin_collapse_raises():
-    with pytest.raises(CorridorCollapsed):
-        apply_safety_margin(lane(b_l=0.2, b_r=-0.2), 0.3)
+def test_margin_collapse_rejected():
+    assert gate(b_l=0.2, b_r=-0.2, safety_margin_R=0.3) == (
+        "margin 0.3 m leaves no corridor at x=0 (left -0.100 <= right 0.100)")
 
 
 def test_split_full_identity():
-    base = apply_safety_margin(lane(), 0.1)
-    assert split_lane(base, "full") is base
+    out = gate(a_l=0.02, a_r=-0.01, safety_margin_R=0.1)
+    assert out == LaneModel(BorderLine(0.02, 0.75, "left"),
+                            BorderLine(-0.01, -0.75, "right"), 0.1)
 
 
 def test_split_right_half_geometry():
-    base = lane(b_l=2.0, b_r=-2.0)
-    out = split_lane(base, "right_half")
+    out = gate(b_l=2.0, b_r=-2.0, safety_margin_R=0.0, lane_mode="right_half")
     assert out.left.b == pytest.approx(0.0)
+    assert out.left.side == "left"
     assert out.right.b == pytest.approx(-2.0)
     assert out.middle.b == pytest.approx(-1.0)
 
 
 def test_split_left_half_mirrors_right_half():
-    base = lane(a_l=0.1, b_l=1.8, a_r=-0.05, b_r=-2.1, margin=0.2)
-    right = split_lane(base, "right_half")
-    mirrored = lane(a_l=0.05, b_l=2.1, a_r=-0.1, b_r=-1.8, margin=0.2)
-    left = split_lane(mirrored, "left_half")
+    right = gate(a_l=0.1, b_l=1.8, a_r=-0.05, b_r=-2.1, safety_margin_R=0.2,
+                 lane_mode="right_half")
+    left = gate(a_l=0.05, b_l=2.1, a_r=-0.1, b_r=-1.8, safety_margin_R=0.2,
+                lane_mode="left_half")
     assert left.left.a == pytest.approx(-right.right.a)
     assert left.left.b == pytest.approx(-right.right.b)
     assert left.right.a == pytest.approx(-right.left.a)
     assert left.right.b == pytest.approx(-right.left.b)
+    assert left.inflated_right.b == pytest.approx(-right.inflated_left.b)
 
 
 def test_validate_flat_ok():
-    assert validate_lane(apply_safety_margin(lane(), 0.1),
-                         math.radians(70)) is None
+    assert isinstance(gate(safety_margin_R=0.1), LaneModel)
 
 
 def test_validate_steep_border_rejected():
-    steep = lane(a_l=math.tan(math.radians(80)))
-    assert validate_lane(steep, math.radians(70)) is not None
+    steep = math.tan(math.radians(80))
+    assert gate(a_l=steep, a_r=steep, safety_margin_R=0.1) == (
+        "left border at 80.0 deg is too close to perpendicular")
 
 
 def test_validate_collapsed_rejected():
-    bad = lane(b_l=-0.1, b_r=0.1)
-    assert validate_lane(bad, math.radians(70)) is not None
+    """A full corridor that the margin leaves open can still collapse once
+    the middle line takes the place of a border."""
+    assert isinstance(gate(b_l=0.5, b_r=-0.5, safety_margin_R=0.3), LaneModel)
+    for mode in ("right_half", "left_half"):
+        reason = gate(b_l=0.5, b_r=-0.5, safety_margin_R=0.3, lane_mode=mode)
+        assert reason.startswith("margin 0.3 m leaves no corridor at x=0")
+
+
+def test_gates_run_in_order():
+    # diverging borders also leave the origin outside and are steep
+    assert gate(a_l=5.0, b_l=-0.1, a_r=0.0).startswith("borders diverge by ")
+    assert gate(b_l=-0.1, b_r=-0.3) == "sensor origin outside the fitted corridor"
+    # a collapsed corridor of steep borders reports the collapse
+    steep = math.tan(math.radians(80))
+    assert gate(a_l=steep, a_r=steep, safety_margin_R=0.3).startswith("margin ")
+
+
+MIRRORED_MODE = {"full": "full", "right_half": "left_half",
+                 "left_half": "right_half"}
+
+
+def _gate_name(reason):
+    """A rejection reason without its numbers and side names: the gate."""
+    return re.sub(r"-?\d+\.\d+|left|right", "", reason)
+
+
+@given(st.tuples(*[st.one_of(st.floats(-3.0, 3.0), st.sampled_from([-0.5, 0.0, 0.5]))
+                   for _ in range(4)]),
+       st.sampled_from([0.0, 0.1, 0.3, 1.0]), st.sampled_from(LANE_MODES))
+@example((0.0, 0.75, 0.0, -0.75), 0.3, "right_half")
+@example((0.05, 0.9, 0.02, -0.6), 0.3, "left_half")
+def test_lane_gate_mirror_symmetry(coeffs, margin, mode):
+    """Mirroring y -> -y swaps the borders and the half modes: the mirrored
+    borders pass the same gates, and give the mirrored lane."""
+    a_l, b_l, a_r, b_r = coeffs
+    out = gate(a_l, b_l, a_r, b_r, safety_margin_R=margin, lane_mode=mode)
+    mirrored = gate(-a_r, -b_r, -a_l, -b_l, safety_margin_R=margin,
+                    lane_mode=MIRRORED_MODE[mode])
+    if isinstance(out, str):
+        assert isinstance(mirrored, str)
+        assert _gate_name(mirrored) == _gate_name(out)
+        return
+    assert isinstance(mirrored, LaneModel)
+    for got, want in ((mirrored.left, out.right), (mirrored.right, out.left),
+                      (mirrored.inflated_left, out.inflated_right),
+                      (mirrored.inflated_right, out.inflated_left),
+                      (mirrored.middle, out.middle)):
+        assert abs(got.a + want.a) <= 1e-12
+        assert abs(got.b + want.b) <= 1e-12
 
 
 # ---------------------------------------------------------------- process
@@ -480,6 +591,43 @@ def test_process_obstacle_cap():
     res = process(corridor_cloud(), cfg)
     assert res.ok
     assert len(res.obstacles) == 10
+
+
+def reference_cap_obstacles(points, limit):
+    """Pairwise loop: the k-th nearest point to the travel ray of each side,
+    the nearer (then the y > 0 one) first, for k = 0, 1, ..."""
+    if len(points) <= limit:
+        return points
+    ray_dist = np.where(points[:, 0] >= 0.0, np.abs(points[:, 1]),
+                        np.hypot(points[:, 0], points[:, 1]))
+    rng = np.hypot(points[:, 0], points[:, 1])
+    order = np.lexsort((rng, ray_dist))
+    pos = [i for i in order if points[i, 1] > 0.0]
+    neg = [i for i in order if points[i, 1] <= 0.0]
+    chosen = []
+    rank = 0
+    while len(chosen) < limit and (rank < len(pos) or rank < len(neg)):
+        pair = [side[rank] for side in (pos, neg) if rank < len(side)]
+        pair.sort(key=lambda i: (ray_dist[i], rng[i]))
+        for i in pair:
+            if len(chosen) < limit:
+                chosen.append(i)
+        rank += 1
+    return points[np.array(chosen)]
+
+
+@given(hnp.arrays(np.float64, st.tuples(st.integers(0, 40), st.just(2)),
+                  elements=st.integers(-4, 4).map(lambda m: 0.25 * m)),
+       st.integers(1, 50))
+@example(np.array([[1.0, 0.5], [1.0, -0.5], [0.5, 1.0], [0.5, -1.0],
+                   [-0.5, 0.0], [1.0, 0.0]]), 3)
+def test_cap_obstacles_matches_pairwise_reference(points, limit):
+    """Points on a coarse lattice, so ties in ray distance and range are
+    common, with the limit both below and above the point count."""
+    got = pipeline._cap_obstacles(points, limit)
+    want = reference_cap_obstacles(points, limit)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

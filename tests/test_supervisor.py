@@ -6,16 +6,13 @@ import pytest
 from rownav import nmpc
 from rownav.core import BorderLine, ControlInput, Point2, pose_from
 from rownav.nmpc import NmpcConfig, NmpcController, SolverStatus
-from rownav.pipeline import (LaneModel, PerceptionResult, PerceptionStatus,
-                             apply_safety_margin)
+from rownav.pipeline import LaneModel, PerceptionResult, PerceptionStatus
 from rownav.supervisor import (Detection, FallbackConfig, MissionSupervisor,
                                Mode, fallback_control, target_approach_control)
 
 
 def ok_lane(a=0.0, b_l=0.75, b_r=-0.75):
-    lane = apply_safety_margin(
-        LaneModel(BorderLine(a, b_l, "left"), BorderLine(a, b_r, "right"), 0.0),
-        0.3)
+    lane = LaneModel(BorderLine(a, b_l, "left"), BorderLine(a, b_r, "right"), 0.3)
     obstacles = np.array([[1.0, b_l], [1.0, b_r]])
     return PerceptionResult(PerceptionStatus.OK, lane=lane, obstacles=obstacles)
 
