@@ -1,46 +1,22 @@
 #!/usr/bin/env python3
 """Camera vs 360-degree sweep sensor on the same straight row.
 
-Both feed the identical perception pipeline and controller; only the
-depth source changes. Prints one metric row per sensor, plus the same
-row re-run at a second seed to show run-to-run spread.
+Both are a `CameraSpec` fed to the same closed loop (`run_scenario`), the
+sweep sensor with `h_fov = 2*pi`; only the depth source changes. Prints
+one metric row per sensor, plus the same row re-run at a second seed to
+show run-to-run spread.
 """
 
-import numpy as np
+import math
 
 from rownav.core import pose_from
 from rownav.metrics import compute_report
-from rownav.nmpc import NmpcConfig, NmpcController
-from rownav.pipeline import PipelineConfig, process
-from rownav.sim import (CameraSpec, LidarSpec, Mode, RunLog, TickRecord,
-                        WorldSpec, generate_world, render_cloud, render_lidar,
-                        step_rover)
-from rownav.supervisor import FallbackConfig, MissionSupervisor
+from rownav.nmpc import NmpcConfig
+from rownav.pipeline import PipelineConfig
+from rownav.sim import CameraSpec, WorldSpec, generate_world, run_scenario
 
-
-def run(world, sensor, max_ticks=140):
-    """Same loop as run_scenario, with a switchable depth source."""
-    nmpc_cfg = NmpcConfig()
-    supervisor = MissionSupervisor(NmpcController(nmpc_cfg), FallbackConfig())
-    rng = np.random.default_rng([world.spec.seed, 1])
-    pose = pose_from(0, 0, 0)
-    log = RunLog(records=[], world_spec=world.spec)
-    for k in range(max_ticks):
-        if isinstance(sensor, LidarSpec):
-            cloud = render_lidar(world, pose, sensor, rng)
-        else:
-            cloud = render_cloud(world, pose, sensor, rng)
-        perception = process(cloud, PipelineConfig())
-        cmd, info = supervisor.tick(pose, perception)
-        log.records.append(TickRecord(k * nmpc_cfg.dt, pose, cmd, info.mode,
-                                      info.perception_status,
-                                      info.solver_status))
-        if info.mode is Mode.END_OF_ROW:
-            log.completed = True
-            break
-        pose = step_rover(pose, cmd, nmpc_cfg.dt)
-    return log
-
+SWEEP = CameraSpec(h_fov=2.0 * math.pi, v_fov=math.radians(30.0), max_range=12.0,
+                   rays_h=720, rays_v=16, mount_height=0.5)
 
 print(f"{'sensor':<14} {'seed':>4} {'clearance':>10} {'v_avg':>7} "
       f"{'omega_std':>10} {'mae':>7}")
@@ -48,9 +24,9 @@ for seed in (42, 43):
     spec = WorldSpec(row_length=20.0, intra_row_space=1.5, seed=seed,
                      noise_sigma=0.005, canopy_overhang=4.0)
     world = generate_world(spec)
-    for label, sensor in (("depth camera", CameraSpec()),
-                          ("sweep lidar", LidarSpec())):
-        log = run(world, sensor)
+    for label, sensor in (("depth camera", CameraSpec()), ("sweep lidar", SWEEP)):
+        log = run_scenario(world, pose_from(0, 0, 0), sensor, PipelineConfig(),
+                           NmpcConfig(), max_ticks=140)
         if not log.completed:
             print(f"{label:<14} {seed:>4} {'did not finish':>10}")
             continue

@@ -12,9 +12,9 @@ from .nmpc import (ControlSequence, InfeasibleError, NmpcConfig, NmpcController,
                    meyer_cost, obstacle_constraint, solve, stage_cost)
 from .pipeline import (LaneModel, OccupancyGrid, PerceptionResult,
                        PerceptionStatus, PipelineConfig, process)
-from .sim import (CameraSpec, Centerline, LidarSpec, ObstacleSpec, RunLog,
-                  TargetSpec, World, WorldSpec, generate_world, render_cloud,
-                  render_lidar, run_scenario, step_rover)
+from .sim import (CameraSpec, Centerline, ObstacleSpec, RunLog, TargetSpec,
+                  World, WorldSpec, generate_world, render_cloud, run_scenario,
+                  step_rover)
 from .metrics import MetricsReport, NotCompleted, compute_report
 from .supervisor import (Detection, FallbackConfig, MissionSupervisor, Mode,
                          fallback_control, target_approach_control)

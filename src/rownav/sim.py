@@ -1,10 +1,12 @@
 """Deterministic desk-scale vineyard simulator.
 
 Generates two plant rows around an analytic centerline (straight or a
-circular arc), renders limited-FOV depth clouds against the plant points
-and the ground plane, integrates the rover with the exact unicycle
-update, and closes the loop with the mission supervisor. Everything is
-driven by a single seed, so identical inputs give bit-identical logs.
+circular arc), renders depth clouds against the plant points and the
+ground plane, integrates the rover with the exact unicycle update, and
+closes the loop with the mission supervisor. One renderer serves every
+depth sensor: a `CameraSpec` is a ray lattice, a limited-FOV depth camera
+by default and a 360-degree sweep sensor with `h_fov = 2*pi`. Everything
+is driven by a single seed, so identical inputs give bit-identical logs.
 """
 
 from __future__ import annotations
@@ -20,12 +22,17 @@ from .pipeline import PerceptionStatus, PipelineConfig, process
 from .supervisor import (APPROACH_DONE_TOL, Detection, FallbackConfig,
                          MissionSupervisor, Mode)
 
+HIT_RADIUS = 0.025   # m; the renderer sees each world point as a disk of this radius
+
 
 @dataclass
 class ObstacleSpec:
     x: float = 0.0
     y: float = 0.0
     radius: float = 0.1
+
+    def validate(self, path: str = "obstacle") -> list[str]:
+        return [] if self.radius > 0 else [f"{path}.radius: must be > 0"]
 
 
 @dataclass
@@ -51,6 +58,12 @@ class WorldSpec:
             errs.append(f"{path}.intra_row_space: must be > 0")
         if not self.plant_spacing > 0:
             errs.append(f"{path}.plant_spacing: must be > 0")
+        if not self.plant_radius > 0:
+            errs.append(f"{path}.plant_radius: must be > 0")
+        if not self.plant_height > 0:
+            errs.append(f"{path}.plant_height: must be > 0")
+        if self.canopy_points_per_plant < 1:
+            errs.append(f"{path}.canopy_points_per_plant: must be >= 1")
         if self.noise_sigma < 0:
             errs.append(f"{path}.noise_sigma: must be >= 0")
         if self.canopy_overhang < 0:
@@ -74,26 +87,17 @@ class CameraSpec:
 
     def validate(self, path: str = "camera") -> list[str]:
         errs = []
-        if not 0.0 < self.h_fov < math.pi:
-            errs.append(f"{path}.h_fov: must be in (0, pi) radians")
+        if not 0.0 < self.h_fov <= 2.0 * math.pi:
+            errs.append(f"{path}.h_fov: must be in (0, 2*pi] radians")
         if not 0.0 < self.v_fov < math.pi:
             errs.append(f"{path}.v_fov: must be in (0, pi) radians")
         if not self.max_range > 0:
             errs.append(f"{path}.max_range: must be > 0")
         if self.rays_h < 2 or self.rays_v < 2:
             errs.append(f"{path}.rays_h/rays_v: must be >= 2")
+        if not self.mount_height > 0:
+            errs.append(f"{path}.mount_height: must be > 0")
         return errs
-
-
-@dataclass
-class LidarSpec:
-    """Planar-sweep variant: full-circle azimuth, a few elevation rings."""
-
-    v_fov: float = math.radians(30.0)
-    max_range: float = 12.0
-    rays_h: int = 720
-    rings: int = 16
-    mount_height: float = 0.5
 
 
 @dataclass
@@ -210,11 +214,6 @@ def generate_world(spec: WorldSpec) -> World:
                  stem_radii=np.array(radii, dtype=float))
 
 
-def export_world_xyz(world: World, path: str) -> None:
-    from .cloud_io import write_cloud
-    write_cloud(path, world.points)
-
-
 def _to_rover_frame(points: np.ndarray, pose: QuatPose) -> np.ndarray:
     theta = heading_of(pose)
     c, s = math.cos(theta), math.sin(theta)
@@ -227,115 +226,71 @@ def _to_rover_frame(points: np.ndarray, pose: QuatPose) -> np.ndarray:
     return out
 
 
-def _raycast(local_points: np.ndarray, mount: float, az_lo: float, n_az: int,
-             d_az: float, el_lo: float, n_el: int, d_el: float,
-             max_range: float, hit_radius: float, wrap_az: bool,
-             with_ground: bool, noise_sigma: float,
-             rng: np.random.Generator | None) -> np.ndarray:
-    """Shared depth renderer: nearest hit per ray, points as small disks."""
-    rel = local_points.copy()
+def render_cloud(world: World, pose: QuatPose, cam: CameraSpec,
+                 rng: np.random.Generator | None = None) -> np.ndarray:
+    """Rover-frame depth cloud: the nearest return on each ray of the lattice.
+
+    Ray (i, j) points at azimuth -h_fov/2 + (i + 0.5) h_fov/rays_h and
+    elevation -v_fov/2 + (j + 0.5) v_fov/rays_v. Each world point is a disk
+    of radius HIT_RADIUS; a ray that meets none but tilts downward returns
+    the ground plane, like a depth camera staring at open dirt. With
+    h_fov = 2*pi the lattice is a 360-degree sweep whose azimuth wraps at
+    +-pi. Seeded noise is added along each hit ray, in ray order.
+    """
+    n_az, n_el = cam.rays_h, cam.rays_v
+    az_lo, d_az = -cam.h_fov / 2.0, cam.h_fov / n_az
+    el_lo, d_el = -cam.v_fov / 2.0, cam.v_fov / n_el
+    mount = cam.mount_height
+
+    rel = _to_rover_frame(world.points, pose)
     rel[:, 2] -= mount
     rho = np.linalg.norm(rel, axis=1)
-    near = (rho > 0.05) & (rho <= max_range + hit_radius)
+    near = (rho > 0.05) & (rho <= cam.max_range + HIT_RADIUS)
     rel = rel[near]
     rho = rho[near]
     az = np.arctan2(rel[:, 1], rel[:, 0])
     el = np.arctan2(rel[:, 2], np.hypot(rel[:, 0], rel[:, 1]))
 
     # Continuous ray indices: ray i sits at az_lo + (i + 0.5) * d_az.
-    ci = (az - az_lo) / d_az - 0.5
-    cj = (el - el_lo) / d_el - 0.5
-    delta = np.arcsin(np.minimum(1.0, hit_radius / np.maximum(rho, hit_radius)))
+    i0 = np.round((az - az_lo) / d_az - 0.5).astype(int)
+    j0 = np.round((el - el_lo) / d_el - 0.5).astype(int)
+    delta = np.arcsin(HIT_RADIUS / rho)       # rho > 0.05 > HIT_RADIUS
     si = np.minimum(np.ceil(delta / d_az).astype(int), 4)
     sj = np.minimum(np.ceil(delta / d_el).astype(int), 4)
-    i0 = np.round(ci).astype(int)
-    j0 = np.round(cj).astype(int)
-
-    max_si = int(si.max()) if len(si) else 0
-    max_sj = int(sj.max()) if len(sj) else 0
-    flat_ids: list[np.ndarray] = []
-    flat_rho: list[np.ndarray] = []
-    for di in range(-max_si, max_si + 1):
-        for dj in range(-max_sj, max_sj + 1):
-            mask = (np.abs(di) <= si) & (np.abs(dj) <= sj)
-            if not mask.any():
-                continue
-            ii = i0[mask] + di
-            jj = j0[mask] + dj
-            rr = rho[mask]
-            if wrap_az:
-                ii = np.mod(ii, n_az)
-                ok = (jj >= 0) & (jj < n_el)
-            else:
-                ok = (ii >= 0) & (ii < n_az) & (jj >= 0) & (jj < n_el)
-            if not ok.any():
-                continue
-            flat_ids.append(ii[ok] * n_el + jj[ok])
-            flat_rho.append(rr[ok])
-
-    img = np.full(n_az * n_el, np.inf)
-    if flat_ids:
-        ids = np.concatenate(flat_ids)
-        rr = np.concatenate(flat_rho)
-        order = np.lexsort((rr, ids))
-        ids = ids[order]
-        rr = rr[order]
-        first = np.ones(len(ids), dtype=bool)
-        first[1:] = ids[1:] != ids[:-1]
-        img[ids[first]] = rr[first]
 
     az_centers = az_lo + (np.arange(n_az) + 0.5) * d_az
     el_centers = el_lo + (np.arange(n_el) + 0.5) * d_el
-    if with_ground:
-        sin_el = np.sin(el_centers)
-        with np.errstate(divide="ignore"):
-            ground = np.where(sin_el < 0.0, mount / -sin_el, np.inf)
-        img = np.minimum(img.reshape(n_az, n_el), ground[None, :]).ravel()
+    sin_el = np.sin(el_centers)
+    with np.errstate(divide="ignore"):
+        ground = np.where(sin_el < 0.0, mount / -sin_el, np.inf)
 
-    hit = img <= max_range
-    if not hit.any():
-        return np.zeros((0, 3))
+    # z-buffer over ray ids i * n_el + j, seeded with the ground's ranges:
+    # each point splats its range onto the rays within its disk, and each
+    # ray keeps the minimum, whatever the order of the writes.
+    img = np.tile(ground, n_az)
+    wrap = cam.h_fov == 2.0 * math.pi
+    max_si, max_sj = int(si.max(initial=0)), int(sj.max(initial=0))
+    for di in range(-max_si, max_si + 1):
+        for dj in range(-max_sj, max_sj + 1):
+            mask = (abs(di) <= si) & (abs(dj) <= sj)
+            ii = i0[mask] + di
+            jj = j0[mask] + dj
+            if wrap:
+                ii %= n_az
+            ok = (ii >= 0) & (ii < n_az) & (jj >= 0) & (jj < n_el)
+            np.minimum.at(img, ii[ok] * n_el + jj[ok], rho[mask][ok])
+
+    hit = img <= cam.max_range
     ray_i, ray_j = np.divmod(np.nonzero(hit)[0], n_el)
     ranges = img[hit]
-    if noise_sigma > 0.0 and rng is not None:
-        ranges = ranges + rng.normal(0.0, noise_sigma, size=len(ranges))
+    if world.spec.noise_sigma > 0.0 and rng is not None:
+        ranges = ranges + rng.normal(0.0, world.spec.noise_sigma, size=len(ranges))
     a = az_centers[ray_i]
     e = el_centers[ray_j]
     cos_e = np.cos(e)
     return np.column_stack([ranges * cos_e * np.cos(a),
                             ranges * cos_e * np.sin(a),
                             mount + ranges * np.sin(e)])
-
-
-def render_cloud(world: World, pose: QuatPose, cam: CameraSpec,
-                 rng: np.random.Generator | None = None,
-                 hit_radius: float = 0.025, with_ground: bool = True
-                 ) -> np.ndarray:
-    """Rover-frame depth cloud from the camera's limited field of view.
-
-    By default rays that miss every world point but tilt downward return
-    the ground plane, like a real depth camera staring at open dirt; pass
-    with_ground=False for point-only returns (no hits give an empty cloud).
-    """
-    local = _to_rover_frame(world.points, pose)
-    return _raycast(local, cam.mount_height,
-                    -cam.h_fov / 2.0, cam.rays_h, cam.h_fov / cam.rays_h,
-                    -cam.v_fov / 2.0, cam.rays_v, cam.v_fov / cam.rays_v,
-                    cam.max_range, hit_radius, wrap_az=False,
-                    with_ground=with_ground,
-                    noise_sigma=world.spec.noise_sigma, rng=rng)
-
-
-def render_lidar(world: World, pose: QuatPose, lidar: LidarSpec,
-                 rng: np.random.Generator | None = None,
-                 hit_radius: float = 0.025) -> np.ndarray:
-    """360-degree planar-sweep variant; feeds the same pipeline."""
-    local = _to_rover_frame(world.points, pose)
-    return _raycast(local, lidar.mount_height,
-                    -math.pi, lidar.rays_h, 2.0 * math.pi / lidar.rays_h,
-                    -lidar.v_fov / 2.0, lidar.rings, lidar.v_fov / lidar.rings,
-                    lidar.max_range, hit_radius, wrap_az=True, with_ground=True,
-                    noise_sigma=world.spec.noise_sigma, rng=rng)
 
 
 def step_rover(pose: QuatPose, u: ControlInput, dt: float) -> QuatPose:

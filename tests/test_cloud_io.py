@@ -3,7 +3,7 @@ import pytest
 
 from rownav.cloud_io import read_cloud, read_pgm, write_cloud, write_pgm
 from rownav.pipeline import PipelineConfig, project_to_grid
-from rownav.sim import WorldSpec, generate_world, export_world_xyz
+from rownav.sim import WorldSpec, generate_world
 
 
 def test_xyz_round_trip(tmp_path):
@@ -49,7 +49,7 @@ def test_pgm_round_trip(tmp_path):
 def test_world_export_feeds_pipeline(tmp_path):
     world = generate_world(WorldSpec(row_length=6.0, seed=9))
     path = str(tmp_path / "world.xyz")
-    export_world_xyz(world, path)
+    write_cloud(path, world.points)
     cloud = read_cloud(path)
     assert cloud.shape == world.points.shape
     np.testing.assert_allclose(cloud, world.points, atol=1e-6)

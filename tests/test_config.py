@@ -1,10 +1,13 @@
 import dataclasses
+import math
 import typing
 from importlib import resources
 from pathlib import Path
 
 import pytest
+import yaml
 
+from rownav.cli import main
 from rownav.config import (THRESHOLD_SENSE, ConfigError, ScenarioConfig, dump_scenario,
                            load_scenario, scenario_from_dict, scenario_to_dict)
 
@@ -118,6 +121,33 @@ def test_non_finite_numbers_rejected_with_path(data, field):
     with pytest.raises(ConfigError) as exc:
         scenario_from_dict(data)
     assert [e for e in exc.value.errors if e.startswith(f"{field}: ")]
+
+
+@pytest.mark.parametrize("data, field", [
+    ({"world": {"extra_obstacles": [{"x": 9.0, "radius": -0.2}]}},
+     "world.extra_obstacles[0].radius"),
+    ({"world": {"plant_radius": -0.2}}, "world.plant_radius"),
+    ({"world": {"plant_height": 0.0}}, "world.plant_height"),
+    ({"world": {"canopy_points_per_plant": -5}}, "world.canopy_points_per_plant"),
+    ({"world": {"canopy_points_per_plant": 0}}, "world.canopy_points_per_plant"),
+    ({"camera": {"mount_height": -0.4}}, "camera.mount_height"),
+    ({"camera": {"h_fov": 2.0 * math.pi + 1e-9}}, "camera.h_fov"),
+])
+def test_sim_fields_that_break_the_run_are_config_errors(tmp_path, capsys, data, field):
+    """Values that would switch the collision check off, crash world
+    generation or put the sensor underground are named by their dotted
+    path before the run starts, and nothing is written."""
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(yaml.safe_dump(data))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+    assert f"config error: {field}: must be" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_full_circle_camera_is_valid():
+    cfg = scenario_from_dict({"camera": {"h_fov": 2.0 * math.pi}})
+    assert cfg.camera.h_fov == 2.0 * math.pi
 
 
 def test_one_error_per_bad_field():

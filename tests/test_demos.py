@@ -2,8 +2,10 @@
 
 Each demo runs from a copy in a temporary directory, so the files it writes
 (demo 01's PGM grids next to itself, demo 05's scratch directory under
-TMPDIR) stay out of the source tree. Demos 03 and 04 take tens of seconds
-each and are left out.
+TMPDIR) stay out of the source tree. Demo 04's metric table must read as
+recorded below, so a change to the renderer or the closed loop that moves
+either sensor's run shows here. Demo 03 takes tens of seconds and is left
+out.
 """
 
 import os
@@ -17,8 +19,17 @@ import pytest
 REPO = Path(__file__).resolve().parents[1]
 
 
+# sensor, seed, clearance, v_avg, omega_std, mae
+DEMO_04_ROWS = [
+    "depth camera 42 50.4s 0.400 0.016 0.004",
+    "sweep lidar 42 50.4s 0.400 0.021 0.006",
+    "depth camera 43 50.4s 0.400 0.011 0.004",
+    "sweep lidar 43 50.4s 0.400 0.027 0.008",
+]
+
+
 @pytest.mark.parametrize("name", ["01_perception_pipeline", "02_controller_solo",
-                                  "05_cli_workflow"])
+                                  "04_sensor_comparison", "05_cli_workflow"])
 def test_demo_runs(name, tmp_path):
     script = tmp_path / f"{name}.py"
     shutil.copy(REPO / "demos" / script.name, script)
@@ -29,3 +40,6 @@ def test_demo_runs(name, tmp_path):
     if name == "05_cli_workflow":
         # run, check and sweep each report their exit code instead of raising
         assert proc.stdout.count("(exit 0)") == 3, proc.stdout
+    if name == "04_sensor_comparison":
+        rows = [" ".join(line.split()) for line in proc.stdout.splitlines()[1:]]
+        assert rows == DEMO_04_ROWS, proc.stdout

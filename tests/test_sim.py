@@ -1,18 +1,21 @@
 import gc
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from rownav import pipeline
+from rownav import pipeline, sim
 from rownav.cli import resolve_config_path
 from rownav.config import load_scenario
 from rownav.core import ControlInput, heading_of, pose_from
 from rownav.pipeline import PipelineConfig, PerceptionStatus, process
 from rownav.nmpc import NmpcConfig
-from rownav.sim import (CameraSpec, Centerline, LidarSpec, ObstacleSpec,
-                        TargetSpec, WorldSpec, generate_world, render_cloud,
-                        render_lidar, run_scenario, step_rover)
+from rownav.sim import (CameraSpec, Centerline, ObstacleSpec, TargetSpec, World,
+                        WorldSpec, generate_world, render_cloud, run_scenario,
+                        step_rover)
 from rownav.supervisor import FallbackConfig, Mode
 
 
@@ -101,10 +104,10 @@ def test_world_extra_obstacle_cluster():
 def test_render_empty_world():
     world = generate_world(WorldSpec(seed=0))
     world.points = np.zeros((0, 3))
-    cloud = render_cloud(world, pose_from(0, 0, 0), CameraSpec(),
-                         with_ground=False)
+    # the nearest ground return lies beyond 0.5 m, so no ray hits
+    cloud = render_cloud(world, pose_from(0, 0, 0), CameraSpec(max_range=0.5))
     assert cloud.shape == (0, 3)
-    # with the ground plane on, downward rays return dirt instead
+    # within range, downward rays return dirt
     ground = render_cloud(world, pose_from(0, 0, 0), CameraSpec())
     assert len(ground) > 0
     assert (ground[:, 2] < 0.05).all()
@@ -145,11 +148,176 @@ def test_render_noise_deterministic_with_seeded_rng():
     np.testing.assert_array_equal(c1, c2)
 
 
+# A 360-degree sweep sensor: the camera lattice with h_fov = 2*pi.
+SWEEP = CameraSpec(h_fov=2.0 * math.pi, v_fov=math.radians(30.0), max_range=12.0,
+                   rays_h=720, rays_v=16, mount_height=0.5)
+
+
 def test_render_lidar_sees_behind():
     world = generate_world(WorldSpec(seed=8))
-    cloud = render_lidar(world, pose_from(10.0, 0, 0), LidarSpec())
+    cloud = render_cloud(world, pose_from(10.0, 0, 0), SWEEP)
     assert (cloud[:, 0] < -0.5).any()
     assert (cloud[:, 0] > 0.5).any()
+
+
+def sorted_zbuffer(world, pose, cam, rng=None):
+    """The renderer before its min-reduced z-buffer, kept as the reference:
+    per-offset lists of ray ids and ranges, one lexsort, the first (nearest)
+    entry of each run of equal ids, then the ground plane; a full-circle
+    lattice wraps its azimuth index."""
+    hit_radius = sim.HIT_RADIUS
+    wrap_az = cam.h_fov == 2.0 * math.pi
+    mount = cam.mount_height
+    az_lo, n_az, d_az = -cam.h_fov / 2.0, cam.rays_h, cam.h_fov / cam.rays_h
+    el_lo, n_el, d_el = -cam.v_fov / 2.0, cam.rays_v, cam.v_fov / cam.rays_v
+    rel = sim._to_rover_frame(world.points, pose)
+    rel[:, 2] -= mount
+    rho = np.linalg.norm(rel, axis=1)
+    near = (rho > 0.05) & (rho <= cam.max_range + hit_radius)
+    rel = rel[near]
+    rho = rho[near]
+    az = np.arctan2(rel[:, 1], rel[:, 0])
+    el = np.arctan2(rel[:, 2], np.hypot(rel[:, 0], rel[:, 1]))
+    ci = (az - az_lo) / d_az - 0.5
+    cj = (el - el_lo) / d_el - 0.5
+    delta = np.arcsin(np.minimum(1.0, hit_radius / np.maximum(rho, hit_radius)))
+    si = np.minimum(np.ceil(delta / d_az).astype(int), 4)
+    sj = np.minimum(np.ceil(delta / d_el).astype(int), 4)
+    i0 = np.round(ci).astype(int)
+    j0 = np.round(cj).astype(int)
+
+    max_si = int(si.max()) if len(si) else 0
+    max_sj = int(sj.max()) if len(sj) else 0
+    flat_ids, flat_rho = [], []
+    for di in range(-max_si, max_si + 1):
+        for dj in range(-max_sj, max_sj + 1):
+            mask = (np.abs(di) <= si) & (np.abs(dj) <= sj)
+            if not mask.any():
+                continue
+            ii = i0[mask] + di
+            jj = j0[mask] + dj
+            rr = rho[mask]
+            if wrap_az:
+                ii = np.mod(ii, n_az)
+                ok = (jj >= 0) & (jj < n_el)
+            else:
+                ok = (ii >= 0) & (ii < n_az) & (jj >= 0) & (jj < n_el)
+            if not ok.any():
+                continue
+            flat_ids.append(ii[ok] * n_el + jj[ok])
+            flat_rho.append(rr[ok])
+
+    img = np.full(n_az * n_el, np.inf)
+    if flat_ids:
+        ids = np.concatenate(flat_ids)
+        rr = np.concatenate(flat_rho)
+        order = np.lexsort((rr, ids))
+        ids = ids[order]
+        rr = rr[order]
+        first = np.ones(len(ids), dtype=bool)
+        first[1:] = ids[1:] != ids[:-1]
+        img[ids[first]] = rr[first]
+
+    az_centers = az_lo + (np.arange(n_az) + 0.5) * d_az
+    el_centers = el_lo + (np.arange(n_el) + 0.5) * d_el
+    sin_el = np.sin(el_centers)
+    with np.errstate(divide="ignore"):
+        ground = np.where(sin_el < 0.0, mount / -sin_el, np.inf)
+    img = np.minimum(img.reshape(n_az, n_el), ground[None, :]).ravel()
+
+    hit = img <= cam.max_range
+    if not hit.any():
+        return np.zeros((0, 3))
+    ray_i, ray_j = np.divmod(np.nonzero(hit)[0], n_el)
+    ranges = img[hit]
+    if world.spec.noise_sigma > 0.0 and rng is not None:
+        ranges = ranges + rng.normal(0.0, world.spec.noise_sigma, size=len(ranges))
+    a = az_centers[ray_i]
+    e = el_centers[ray_j]
+    cos_e = np.cos(e)
+    return np.column_stack([ranges * cos_e * np.cos(a),
+                            ranges * cos_e * np.sin(a),
+                            mount + ranges * np.sin(e)])
+
+
+def assert_renders_like_reference(world, pose, cam, seed):
+    """Same frame bytes, and the seeded noise rng left in the same state."""
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    cloud = render_cloud(world, pose, cam, rng)
+    ref = sorted_zbuffer(world, pose, cam, ref_rng)
+    assert cloud.shape == ref.shape
+    assert cloud.tobytes() == ref.tobytes()
+    assert rng.random() == ref_rng.random()
+
+
+def cloud_world(points, noise_sigma=0.005):
+    """A world holding only `points`: no rows, no stems."""
+    return World(WorldSpec(noise_sigma=noise_sigma), Centerline(1.0),
+                 np.asarray(points, dtype=float).reshape(-1, 3),
+                 np.zeros((0, 2)), np.zeros(0))
+
+
+_PERGOLA = str(Path(__file__).resolve().parents[1] / "bench" / "pergola_dense.yaml")
+_RENDER_CONFIGS = ["sim_straight", "sim_curved", "sim_half_lane", "sim_obstacle",
+                   "sim_misaligned", "sim_target", _PERGOLA]
+
+
+@pytest.mark.parametrize("name", _RENDER_CONFIGS, ids=lambda n: Path(n).stem)
+def test_render_matches_sorted_zbuffer_on_scenarios(name):
+    """The min-reduced z-buffer renders every scenario's frames as the sorted
+    one did, from the start pose and from three poses along the row, off
+    the centre line and off its heading."""
+    cfg = load_scenario(resolve_config_path(name))
+    world = generate_world(cfg.world)
+    line = world.centerline
+    poses = [pose_from(cfg.start.x, cfg.start.y, cfg.start.theta)]
+    for frac, lateral, turn in ((0.3, 0.1, 0.15), (0.6, -0.2, -0.25), (0.95, 0.0, 0.4)):
+        s = frac * cfg.world.row_length
+        (x, y), (nx, ny) = line.point(s), line.normal(s)
+        poses.append(pose_from(x + lateral * nx, y + lateral * ny,
+                               line.tangent_angle(s) + turn))
+    for k, pose in enumerate(poses):
+        assert_renders_like_reference(world, pose, cfg.camera, [cfg.world.seed, k])
+
+
+def test_render_matches_sorted_zbuffer_across_the_sweep_seam():
+    """A 360-degree lattice starts at az = -pi, and splats of points just
+    behind the rover wrap across the +-pi seam."""
+    assert -SWEEP.h_fov / 2.0 == -math.pi
+    rng = np.random.default_rng(3)
+    behind = np.column_stack([-2.0 + rng.normal(0.0, 0.01, 200),
+                              rng.uniform(-0.03, 0.03, 200),
+                              SWEEP.mount_height + rng.uniform(-0.2, 0.2, 200)])
+    pose = pose_from(0, 0, 0)
+    assert_renders_like_reference(cloud_world(behind), pose, SWEEP, 4)
+    cloud = render_cloud(cloud_world(behind, 0.0), pose, SWEEP)
+    seam = cloud[cloud[:, 0] < -1.5]
+    assert (seam[:, 1] > 0).any() and (seam[:, 1] < 0).any()
+    world = generate_world(WorldSpec(seed=8, noise_sigma=0.005))
+    assert_renders_like_reference(world, pose_from(10.0, 0.1, 0.3), SWEEP, 5)
+
+
+_coord = st.floats(-4.0, 4.0)
+_near = st.floats(-0.05, 0.05)
+
+
+@given(points=st.lists(st.tuples(_coord, _coord, st.floats(-1.0, 3.0)), max_size=30),
+       near=st.lists(st.tuples(_near, _near, _near), max_size=4),
+       dups=st.lists(st.integers(0, 100), max_size=6),
+       sweep=st.booleans(), noise_sigma=st.sampled_from([0.0, 0.01]),
+       theta=st.floats(-math.pi, math.pi), seed=st.integers(0, 2**32 - 1))
+def test_render_matches_sorted_zbuffer_on_small_clouds(points, near, dups, sweep,
+                                                       noise_sigma, theta, seed):
+    """Small clouds with points beyond max_range, points within 5 cm of the
+    sensor and duplicate points render as the sorted z-buffer did."""
+    cam = CameraSpec(h_fov=2.0 * math.pi if sweep else math.radians(87.0),
+                     max_range=2.5, rays_h=48, rays_v=12)
+    x, y = 0.3, -0.2
+    pts = [(x + px, y + py, pz) for px, py, pz in points]
+    pts += [(x + dx, y + dy, cam.mount_height + dz) for dx, dy, dz in near]
+    pts += [pts[i % len(pts)] for i in dups] if pts else []
+    assert_renders_like_reference(cloud_world(pts, noise_sigma),
+                                  pose_from(x, y, theta), cam, seed)
 
 
 # ---------------------------------------------------------------- stepping
