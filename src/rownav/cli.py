@@ -24,7 +24,9 @@ from .config import (THRESHOLD_SENSE, ConfigError, ScenarioConfig, dump_scenario
                      load_scenario, scenario_from_dict)
 from .core import heading_of, pose_from
 from .metrics import MetricsReport, NotCompleted, compute_report
+from .pipeline import PerceptionStatus
 from .sim import RunLog, generate_world, run_scenario
+from .supervisor import Mode
 
 CSV_COLUMNS = ["t", "x", "y", "theta", "v_cmd", "omega_cmd",
                "mode", "perception_status", "solver_status"]
@@ -74,6 +76,14 @@ def _write_trajectory_csv(log: RunLog, path: str) -> None:
                 rec.perception_status.value,
                 rec.solver_status.value if rec.solver_status is not None else "",
             ])
+
+
+def _tick_counts(records) -> dict[str, int]:
+    """A run's ticks, realign ticks and invalid-lane ticks."""
+    return {"ticks": len(records),
+            "realign_ticks": sum(r.mode is Mode.FALLBACK_REALIGN for r in records),
+            "invalid_lane_ticks": sum(r.perception_status is PerceptionStatus.INVALID_LANE
+                                      for r in records)}
 
 
 def execute_scenario(cfg: ScenarioConfig) -> tuple[RunLog, MetricsReport | None]:
@@ -226,33 +236,35 @@ def _cmd_sweep(args) -> int:
     for combo in cells:
         data = yaml.safe_load(yaml.safe_dump(base))  # deep copy
         label = ", ".join(f"{k}={v}" for k, v in zip(keys, combo)) or "baseline"
+        counts = dict.fromkeys(_tick_counts([]))     # None: the cell did not run
+        report = None
         try:
             for key, value in zip(keys, combo):
                 _set_dotted(data, key, value)
             cfg = _override_seed(scenario_from_dict(data), args.seed)
             log, report = execute_scenario(cfg)
-            if log.collision:
-                rows.append((label, "collision", None))
-            elif report is None:
-                rows.append((label, "not_completed", None))
-            else:
-                rows.append((label, "ok", report))
+            counts = _tick_counts(log.records)
+            status = ("collision" if log.collision
+                      else "not_completed" if report is None else "ok")
         except Exception as exc:
-            rows.append((label, f"error: {exc}", None))
+            status = f"error: {exc}"
+        rows.append((label, status, report if status == "ok" else None, counts))
 
-    header = f"{'cell':<40} {'status':<16} {'v_avg':>7} {'mae':>7} {'omega_std':>10}"
-    print(header)
-    for label, status, report in rows:
+    print(f"{'cell':<40} {'status':<16} {'v_avg':>7} {'mae':>7} {'omega_std':>10} "
+          f"{'ticks':>6} {'realign':>7} {'invalid':>7}")
+    for label, status, report, counts in rows:
         if report is not None:
-            print(f"{label:<40} {status:<16} {report.v_avg:>7.3f} "
-                  f"{report.mae:>7.3f} {report.omega_std:>10.3f}")
+            line = (f"{label:<40} {status:<16} {report.v_avg:>7.3f} "
+                    f"{report.mae:>7.3f} {report.omega_std:>10.3f}")
         else:
-            print(f"{label:<40} {status:<16} {'-':>7} {'-':>7} {'-':>10}")
+            line = f"{label:<40} {status:<16} {'-':>7} {'-':>7} {'-':>10}"
+        ticks, realign, invalid = ("-" if c is None else c for c in counts.values())
+        print(f"{line} {ticks:>6} {realign:>7} {invalid:>7}")
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         payload = [{"cell": label, "status": status,
-                    "metrics": report.as_dict() if report else None}
-                   for label, status, report in rows]
+                    "metrics": report.as_dict() if report else None, **counts}
+                   for label, status, report, counts in rows]
         with open(os.path.join(args.out, "sweep.json"), "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
             fh.write("\n")

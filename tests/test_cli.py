@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 
@@ -240,3 +241,37 @@ def test_sweep_bad_cell_flagged_others_run(fast_config, tmp_path, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "error" in out and "ok" in out
+
+
+def test_sweep_rows_count_ticks_from_the_run(fast_config, tmp_path, capsys):
+    """Each sweep row carries its run's ticks, realign ticks and invalid-lane
+    ticks, the counts of the trajectory `rownav run` writes for that cell;
+    a cell that fails before running has none."""
+    grid = tmp_path / "grid.yaml"
+    grid.write_text(yaml.safe_dump({"start.theta": [0.0, 0.6, "bad"]}))
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", fast_config, "--grid", str(grid),
+                 "--out", str(out)]) == 0
+    table = capsys.readouterr().out.splitlines()
+    assert table[0].split()[-3:] == ["ticks", "realign", "invalid"]
+    rows = json.loads((out / "sweep.json").read_text())
+    assert [row["status"] for row in rows][:2] == ["ok", "ok"]
+    assert rows[2]["status"].startswith("error: start.theta")
+    assert [rows[2][k] for k in ("ticks", "realign_ticks", "invalid_lane_ticks")] \
+        == [None] * 3
+    assert table[3].split()[-3:] == ["-"] * 3
+    for theta, row, line in zip((0.0, 0.6), rows, table[1:3]):
+        data = yaml.safe_load(yaml.safe_dump(FAST_SCENARIO))
+        data["start"]["theta"] = theta
+        cfg = tmp_path / f"theta{theta}.yaml"
+        cfg.write_text(yaml.safe_dump(data))
+        run_out = tmp_path / f"run{theta}"
+        assert main(["run", "--config", str(cfg), "--out", str(run_out)]) == 0
+        with open(run_out / "trajectory.csv", newline="") as fh:
+            ticks = list(csv.DictReader(fh))
+        want = [len(ticks),
+                sum(t["mode"] == "fallback_realign" for t in ticks),
+                sum(t["perception_status"] == "invalid_lane" for t in ticks)]
+        assert [row[k] for k in ("ticks", "realign_ticks", "invalid_lane_ticks")] == want
+        assert line.split()[-3:] == [str(c) for c in want]
+    assert rows[1]["realign_ticks"] > 0 and rows[1]["invalid_lane_ticks"] > 0

@@ -8,6 +8,8 @@ from scipy.optimize import OptimizeResult
 from scipy.optimize._numdiff import approx_derivative  # what L-BFGS-B calls
 
 from rownav import nmpc
+from rownav.cli import resolve_config_path
+from rownav.config import load_scenario
 from rownav.core import BorderLine, ControlInput, QuatPose, heading_of, pose_from
 from rownav.nmpc import (DegenerateCorridor, NearPerpendicular,
                          NmpcConfig, NmpcController, SolverStatus, align_cost,
@@ -15,6 +17,7 @@ from rownav.nmpc import (DegenerateCorridor, NearPerpendicular,
                          meyer_cost_gradient, obstacle_constraint, solve,
                          stage_cost, stage_cost_gradients)
 from rownav.pipeline import LaneModel
+from rownav.sim import generate_world, run_scenario
 
 
 def lane(a_l=0.0, b_l=0.75, a_r=0.0, b_r=-0.75, margin=0.0):
@@ -392,9 +395,15 @@ def test_solve_reported_cost_matches_reconstruction():
 
 def test_solve_violation_is_worst_obstacle_constraint():
     """The solver's reported violation is obstacle_constraint's worst value
-    over the predicted states after the first and every obstacle."""
+    over the predicted states after the first and every obstacle, the
+    obstacles beyond the horizon's reach included."""
     rng = np.random.default_rng(12)
     instances = [_random_instance(rng, with_obstacle=True) for _ in range(8)]
+    for _ in range(4):
+        pose, ln, near, u_prev = _random_instance(rng, with_obstacle=True)
+        far = rng.uniform([2.5, -4.0], [6.0, 4.0], size=(6, 2)).tolist()
+        behind = rng.uniform([-6.0, -4.0], [-2.5, 4.0], size=(2, 2)).tolist()
+        instances.append((pose, ln, far[:3] + near + behind + far[3:], u_prev))
     ring = [(0.25 * math.cos(a), 0.25 * math.sin(a))
             for a in np.linspace(0, 2 * math.pi, 16, endpoint=False)]
     instances.append((pose_from(0, 0, 0),
@@ -526,6 +535,115 @@ def test_objective_gradient_bit_equal_to_approx_derivative(monkeypatch):
             checked += 1
             on_face += bool(np.any(np.abs(u) == hi))
     assert checked == 200 and on_face >= checked // 3
+
+
+def _on_circle(rng, cx, cy, radii):
+    angle = rng.uniform(-math.pi, math.pi, len(radii))
+    return np.column_stack([cx + radii * np.cos(angle), cy + radii * np.sin(angle)])
+
+
+def _edge_obstacles(rng, pose, cfg):
+    """Obstacles around pose: a 0.5 m lattice over a 6 x 8 m grid, points on
+    every step's reach circle R_safe + (k+1) 1.1 v_max dt max(1, x3^2+x4^2)
+    + 1e-6 moved 1e-6 to 1e-3 m in or out, and points at R_safe."""
+    cx, cy = pose.x1, pose.x2
+    gx, gy = np.meshgrid(np.linspace(-3.0, 3.0, 13), np.linspace(-4.0, 4.0, 17))
+    points = [np.column_stack([cx + gx.ravel(), cy + gy.ravel()])]
+    reach = 1.1 * cfg.v_max * cfg.dt * max(1.0, pose.x3 ** 2 + pose.x4 ** 2)
+    for k in range(cfg.horizon_n):
+        radius = cfg.R_safe + (k + 1) * reach + 1e-6
+        shift = rng.choice([-1.0, 1.0], 8) * 10.0 ** rng.uniform(-6, -3, 8)
+        points.append(_on_circle(rng, cx, cy, radius + shift))
+    points.append(_on_circle(rng, cx, cy, np.full(8, cfg.R_safe)))
+    return np.concatenate(points)
+
+
+def _bit_equal_to_all_obstacle_loop(f, g, u, mu, pose, ln, obstacles, u_prev, cfg):
+    """Assert that (f, g) are the bits of the reference objective, which
+    loops over every obstacle, and of its approx_derivative gradient;
+    return whether the clearance penalty is active at u."""
+    lo = np.array([-cfg.v_max, -cfg.omega_max] * cfg.horizon_n)
+    args = (pose, ln, obstacles, u_prev, cfg)
+    ref = _float64_objective(u, mu, *args)
+    assert f.hex() == float(ref).hex()
+    ref_g = approx_derivative(_float64_objective, u, method="2-point",
+                              abs_step=1e-8, f0=f, bounds=(lo, -lo), args=(mu, *args))
+    assert [x.hex() for x in g.tolist()] == [x.hex() for x in ref_g.tolist()]
+    return ref != _float64_objective(u, 0.0, *args)
+
+
+def test_objective_bit_equal_to_all_obstacle_reference_at_reach_edges(monkeypatch):
+    """solve drops the obstacles no state of step k can reach; the objective
+    and its gradient stay bit-equal to the reference loops over every
+    obstacle. Starts lie off the origin, heading pairs have x3^2 + x4^2 from
+    0.25 to 4, and two thirds of the inputs have 2 to 6 coordinates on the
+    box faces, where the plan moves furthest."""
+    rng = np.random.default_rng(23)
+    lo = np.array([-CFG.v_max, -CFG.omega_max] * CFG.horizon_n)
+    checked = penalised = 0
+    for scale2 in (0.25, 1.0, 1.0, 2.0, 4.0, 4.0):
+        _, ln, _, u_prev = _random_instance(rng)
+        half = rng.uniform(-math.pi / 2, math.pi / 2)
+        s = math.sqrt(scale2)
+        pose = QuatPose(rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0),
+                        s * math.cos(half), s * math.sin(half))
+        obstacles = _edge_obstacles(rng, pose, CFG)
+        fun, args = _captured_objective(monkeypatch, pose, ln, obstacles, u_prev)
+        for j in range(20):
+            n_faces = int(rng.integers(2, 7)) if j % 3 else 0
+            u = _box_point(rng, lo, n_faces, 0)
+            mu = args[0] * CFG.penalty_growth ** int(rng.integers(0, 8))
+            f, g = fun(u, mu)
+            penalised += _bit_equal_to_all_obstacle_loop(
+                f, g, u, mu, pose, ln, obstacles, u_prev, CFG)
+            checked += 1
+    assert checked == 120 and penalised >= checked // 2
+
+
+def test_objective_bit_equal_on_the_solves_of_the_post_pass(monkeypatch):
+    """The post stretch of bundled sim_obstacle, 60 ticks from x = 6 m with
+    the post at x = 10 m: every input the objective is evaluated at, the
+    perturbed ones of its gradient included, lies in the input box, and
+    every 15th call's (f, g) is bit-equal to the reference loops over all
+    the obstacle points perception handed to solve."""
+    cfg = load_scenario(resolve_config_path("sim_obstacle"))
+    ncfg = cfg.nmpc
+    lo = np.array([-ncfg.v_max, -ncfg.omega_max] * ncfg.horizon_n)
+    solve_args = []
+    calls = checked = penalised = 0
+    real_solve, real_minimize, real_fd_step = nmpc.solve, nmpc.minimize, nmpc._fd_step
+
+    def recording_solve(*args, **kwargs):
+        solve_args.append(args[:4])
+        return real_solve(*args, **kwargs)
+
+    def checking_minimize(fun, x0, args=(), **kwargs):
+        def checked_fun(u, mu):
+            nonlocal calls, checked, penalised
+            assert np.all((lo <= u) & (u <= -lo))
+            f, g = fun(u, mu)
+            calls += 1
+            if calls % 15 == 0:
+                penalised += _bit_equal_to_all_obstacle_loop(
+                    f, g, u, mu, *solve_args[-1], ncfg)
+                checked += 1
+            return f, g
+        return real_minimize(checked_fun, x0, args=args, **kwargs)
+
+    def checking_fd_step(x, lo_i, hi_i):
+        h = real_fd_step(x, lo_i, hi_i)
+        assert lo_i <= x + h <= hi_i
+        return h
+
+    monkeypatch.setattr(nmpc, "solve", recording_solve)
+    monkeypatch.setattr(nmpc, "minimize", checking_minimize)
+    monkeypatch.setattr(nmpc, "_fd_step", checking_fd_step)
+    log = run_scenario(generate_world(cfg.world), pose_from(6.0, 0.0, 0.0),
+                       cfg.camera, cfg.pipeline, ncfg, cfg.fallback,
+                       cfg.targets, 60)
+    assert not log.collision and log.records[-1].pose.x1 > 12.0
+    assert sum(len(args[2]) > 0 for args in solve_args) >= 40
+    assert checked >= 100 and penalised >= 30
 
 
 @pytest.mark.parametrize("x, lo, hi", [

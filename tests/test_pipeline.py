@@ -1,3 +1,4 @@
+import functools
 import math
 import re
 from dataclasses import replace
@@ -5,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.spatial import cKDTree
@@ -697,11 +698,14 @@ def _median_split_tree(pts, **_):
     return cKDTree(pts)
 
 
-@pytest.mark.parametrize("config", [
+SCENARIO_CONFIGS = pytest.mark.parametrize("config", [
     *(resolve_config_path(f"sim_{name}") for name in
       ("straight", "curved", "half_lane", "obstacle", "misaligned", "target")),
     str(Path(__file__).resolve().parents[1] / "bench" / "pergola_dense.yaml"),
 ], ids=lambda path: Path(path).stem)
+
+
+@SCENARIO_CONFIGS
 def test_process_bit_equal_to_row_sort_voxels_and_median_split_tree(
         monkeypatch, config):
     cfg, frames = _scenario_frames(config)
@@ -716,6 +720,38 @@ def test_process_bit_equal_to_row_sort_voxels_and_median_split_tree(
         assert (res.obstacles is None) == (ref.obstacles is None)
         if ref.obstacles is not None:
             assert np.array_equal(res.obstacles, ref.obstacles)
+
+
+@functools.lru_cache(maxsize=None)
+def _perceived_frames(config):
+    cfg, frames = _scenario_frames(config)
+    return cfg, frames, [process(frame, cfg) for frame in frames]
+
+
+@SCENARIO_CONFIGS
+@settings(max_examples=36)
+@given(st.integers(0, 3), st.integers(0, 2 ** 32 - 1))
+def test_process_invariant_under_point_permutation(config, frame_id, seed):
+    """The order of a frame's points does not change what is perceived: the
+    same status and reason, the lane to 1e-9 (voxel centroids add their
+    points in input order, so the last bits may move) and the same
+    obstacle cells. Mirroring y is not such an invariance: points on a voxel
+    boundary do not mirror onto one."""
+    cfg, frames, results = _perceived_frames(config)
+    frame, ref = frames[frame_id], results[frame_id]
+    res = process(frame[np.random.default_rng(seed).permutation(len(frame))], cfg)
+    assert res.status is ref.status
+    assert res.reason == ref.reason
+    assert res.dropped_points == ref.dropped_points
+    assert (res.lane is None) == (ref.lane is None)
+    if ref.lane is not None:
+        for got, want in ((res.lane.left, ref.lane.left),
+                          (res.lane.right, ref.lane.right)):
+            assert got.a == pytest.approx(want.a, rel=0.0, abs=1e-9)
+            assert got.b == pytest.approx(want.b, rel=0.0, abs=1e-9)
+    assert (res.obstacles is None) == (ref.obstacles is None)
+    if ref.obstacles is not None:
+        assert np.array_equal(res.obstacles, ref.obstacles)
 
 
 # ---------------------------------------------------------------- properties
