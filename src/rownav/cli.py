@@ -250,14 +250,16 @@ def _cmd_sweep(args) -> int:
             status = f"error: {exc}"
         rows.append((label, status, report if status == "ok" else None, counts))
 
-    print(f"{'cell':<40} {'status':<16} {'v_avg':>7} {'mae':>7} {'omega_std':>10} "
+    cw = max(len("cell"), *(len(row[0]) for row in rows))
+    sw = max(len("status"), *(len(row[1]) for row in rows))
+    print(f"{'cell':<{cw}} {'status':<{sw}} {'v_avg':>7} {'mae':>7} {'omega_std':>10} "
           f"{'ticks':>6} {'realign':>7} {'invalid':>7}")
     for label, status, report, counts in rows:
         if report is not None:
-            line = (f"{label:<40} {status:<16} {report.v_avg:>7.3f} "
+            line = (f"{label:<{cw}} {status:<{sw}} {report.v_avg:>7.3f} "
                     f"{report.mae:>7.3f} {report.omega_std:>10.3f}")
         else:
-            line = f"{label:<40} {status:<16} {'-':>7} {'-':>7} {'-':>10}"
+            line = f"{label:<{cw}} {status:<{sw}} {'-':>7} {'-':>7} {'-':>10}"
         ticks, realign, invalid = ("-" if c is None else c for c in counts.values())
         print(f"{line} {ticks:>6} {realign:>7} {invalid:>7}")
     if args.out:

@@ -30,43 +30,61 @@ the same C pow. Do not replace the penalty loop with array arithmetic:
 np.sum adds the terms in another order, which moves the last bits of the
 objective and so the iterates.
 
-solve hands L-BFGS-B its gradient too (jac=True): the forward difference
-scipy's approx_derivative would take, with the same step (_FD_STEP, its
-fallback, and the sign flip or clamp at the input box) and the same
-(f_i - f0) / ((x + h) - x). Only the perturbed rollouts differ: a change
-to input i (step k = i // 2) cannot reach the states 0..k, the stage
-costs of steps 0..k-1 or the penalty over states 1..k, so each perturbed
-rollout resumes at step k from those values, recorded by the base
-rollout. The rest is added in the same order as a full rollout, penalty
-terms step by step, so each f_i is the same bits and the gradient too.
+solve hands L-BFGS-B the exact gradient too (jac=True), by reverse-mode
+differentiation of the rollout: one forward and one backward pass. The
+forward pass is the rollout itself. It also keeps each RK4 substep's
+tape (stage headings, norm, renormalised pair), and for each step the
+sums of g (x1 - ox) and g (x2 - oy) over the clearance pairs it
+violates. The backward pass starts from the travel term's partials and
+carries the state's cotangent back step by step. It adds the clearance
+partials -4 mu g (x - o) of the state after the step. It runs the
+substeps in reverse (_rk4_substep_adjoint, through the renormalisation
+and the RK4 stages, whose heading update is linear in the heading). It
+then adds the stage term's partials (_stage_partials, which
+stage_cost_gradients returns too). A gradient costs about two rollouts;
+a forward difference costs n + 2 even when each perturbed rollout
+resumes at the perturbed step (35 steps at n = 5). Where max(0, g), the substep
+count or a floor switches, the gradient is that of the branch the
+forward pass took.
+
+The forward pass makes the same operations in the same order as a plain
+rollout, so the objective is the same bits as the np.float64 reference
+loop. Its gradient is exact, where a forward difference carries
+truncation and rounding error of about 1e-8. So L-BFGS-B's steps differ
+in their last bits from those a difference gives, and so do its plans:
+replayed on the inputs of the 91 solves of a sim_obstacle pass, the
+median plan moved by 3e-8, and 2 plans by more than 1e-3.
 
 The penalty loop skips the clearance terms no plan can reach. Every
 input the objective sees lies in the box: L-BFGS-B evaluates only points
-inside it, _fd_step flips or clamps into it, and the baselines and
-swerves start inside it. An RK4 substep turns the heading by at most
-0.1 rad, so it moves the position at most |v| h times the largest stage
-norm^2, under 1.001 times x3^2 + x4^2; that is the start pair's for the
-first substep, which runs before renormalisation, and 1 after it. So
-the state after step k lies within (k+1) v_max dt max(1, x3^2 + x4^2)
-of the start, and solve keeps, for step k, only the points closer to the
-start than R_safe plus 1.1 times that plus 1e-6 m (near[k]), in their
-original order. A dropped point gives g < 0, which adds nothing to the
-penalty or the worst violation, and the kept ones are added in the same
-order as before, so the objective, its gradient, the iterates and the
-plans are the same bits as a loop over every obstacle. On sim_obstacle
-about 9% of the (state, obstacle) pairs are kept.
+inside it, and the baselines and swerves start inside it. An RK4
+substep turns the heading by at most 0.1 rad, so it moves the position
+at most |v| h times the largest stage norm^2, under 1.001 times x3^2 +
+x4^2; that is the start pair's for the first substep, which runs before
+renormalisation, and 1 after it. So the state after step k lies within
+(k+1) v_max dt max(1, x3^2 + x4^2) of the start, and solve keeps, for
+step k, only the points closer to the start than R_safe plus 1.1 times
+that plus 1e-6 m (near[k]), in their original order. A dropped point
+gives g < 0, which adds nothing to the penalty, its gradient or the
+worst violation, and the kept ones are added in the same order as
+before, so the objective, its gradient and the plans are the same bits
+as a loop over every obstacle. On sim_obstacle about 9% of the (state,
+obstacle) pairs are kept.
 
 A solve status describes the returned plan: CONVERGED for an optimizer
 result whose last L-BFGS-B run reported success, MAX_ITER for one whose
-run stopped short and for a baseline plan (zero input or the shifted warm
-start), INFEASIBLE when no candidate meets the clearance constraints
-within solver_tol.
+run stopped short and for a baseline plan (zero input, the shifted warm
+start, or constant reverse), INFEASIBLE when no candidate meets the
+clearance constraints within solver_tol. Constant reverse (v = -v_max,
+omega = 0) is offered only when no other candidate is feasible. From
+inside R_safe of a point ahead it may be the only way out. It is a
+baseline, not an optimizer start, because L-BFGS-B started there drifts
+forward again, back into the point.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
@@ -88,11 +106,6 @@ _MAX_HEADING_PER_SUBSTEP = 0.1
 
 # Corridor widths below this count as borders that meet.
 _MIN_WIDTH = 1e-9
-
-# The forward-difference step L-BFGS-B hands approx_derivative (its eps
-# option), and the step approx_derivative falls back to where x + step == x.
-_FD_STEP = 1e-8
-_FD_FALLBACK = math.sqrt(sys.float_info.epsilon)
 
 # A step at |v| <= v_max moves the position at most |v| * dt times the
 # largest RK4 stage norm^2 (<= 1.001 for a unit heading at 0.1 rad per
@@ -178,24 +191,69 @@ def dynamics(state: QuatPose, u: ControlInput) -> tuple[float, float, float, flo
 
 
 def _rk4_substep(x1, x2, x3, x4, v, w, h):
+    """One RK4 substep, renormalised: the new state, and the tape the
+    adjoint reads back (the stage headings, the norm and the new pair)."""
     k1 = _derivative(v, w, x3, x4)
-    k2 = _derivative(v, w, x3 + 0.5 * h * k1[2], x4 + 0.5 * h * k1[3])
-    k3 = _derivative(v, w, x3 + 0.5 * h * k2[2], x4 + 0.5 * h * k2[3])
-    k4 = _derivative(v, w, x3 + h * k3[2], x4 + h * k3[3])
+    b3, b4 = x3 + 0.5 * h * k1[2], x4 + 0.5 * h * k1[3]
+    k2 = _derivative(v, w, b3, b4)
+    c3, c4 = x3 + 0.5 * h * k2[2], x4 + 0.5 * h * k2[3]
+    k3 = _derivative(v, w, c3, c4)
+    d3, d4 = x3 + h * k3[2], x4 + h * k3[3]
+    k4 = _derivative(v, w, d3, d4)
     x1 += h / 6.0 * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
     x2 += h / 6.0 * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
-    x3 += h / 6.0 * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2])
-    x4 += h / 6.0 * (k1[3] + 2.0 * k2[3] + 2.0 * k3[3] + k4[3])
-    norm = math.sqrt(x3 * x3 + x4 * x4)
-    return x1, x2, x3 / norm, x4 / norm
+    z3 = x3 + h / 6.0 * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2])
+    z4 = x4 + h / 6.0 * (k1[3] + 2.0 * k2[3] + 2.0 * k3[3] + k4[3])
+    norm = math.sqrt(z3 * z3 + z4 * z4)
+    y3, y4 = z3 / norm, z4 / norm
+    return (x1, x2, y3, y4), (x3, x4, b3, b4, c3, c4, d3, d4, norm, y3, y4)
+
+
+def _rk4_substep_adjoint(l1, l2, l3, l4, v, w, h, tape):
+    """Reverse pass of _rk4_substep: given the cotangent (l1, l2, l3, l4)
+    of its new state, the heading cotangent (l3, l4) of its input state
+    and the substep's partials in v and w. The position cotangent (l1,
+    l2) passes through a substep unchanged."""
+    a3, a4, b3, b4, c3, c4, d3, d4, norm, y3, y4 = tape
+    # y = z / |z|
+    p = l3 * y3 + l4 * y4
+    g3, g4 = (l3 - p * y3) / norm, (l4 - p * y4) / norm
+    # z = a + h/6 (w/2) J (a + 2b + 2c + d) and the position increment
+    # h/6 v sum m_i (s3^2 - s4^2, 2 s3 s4) over the stage headings s,
+    # with J (s3, s4) = (-s4, s3) and m = (1, 2, 2, 1).
+    c6 = h / 6.0
+    gv = c6 * (l1 * (a3 * a3 - a4 * a4 + 2.0 * (b3 * b3 - b4 * b4 + c3 * c3 - c4 * c4)
+                     + d3 * d3 - d4 * d4)
+               + 2.0 * l2 * (a3 * a4 + 2.0 * (b3 * b4 + c3 * c4) + d3 * d4))
+    gw = 0.5 * c6 * (g4 * (a3 + 2.0 * (b3 + c3) + d3) - g3 * (a4 + 2.0 * (b4 + c4) + d4))
+    hw = 0.5 * w
+    tv1, tv2, e3, e4 = 2.0 * v * l1, 2.0 * v * l2, hw * g4, -hw * g3
+    ga3, ga4 = c6 * (tv1 * a3 + tv2 * a4 + e3), c6 * (tv2 * a3 - tv1 * a4 + e4)
+    gb3, gb4 = 2.0 * c6 * (tv1 * b3 + tv2 * b4 + e3), 2.0 * c6 * (tv2 * b3 - tv1 * b4 + e4)
+    gc3, gc4 = 2.0 * c6 * (tv1 * c3 + tv2 * c4 + e3), 2.0 * c6 * (tv2 * c3 - tv1 * c4 + e4)
+    gd3, gd4 = c6 * (tv1 * d3 + tv2 * d4 + e3), c6 * (tv2 * d3 - tv1 * d4 + e4)
+    # d = a + h (w/2) J c, c = a + h/2 (w/2) J b, b = a + h/2 (w/2) J a
+    f = h * hw
+    gc3, gc4 = gc3 + f * gd4, gc4 - f * gd3
+    gw += 0.5 * h * (gd4 * c3 - gd3 * c4)
+    f = 0.5 * h * hw
+    gb3, gb4 = gb3 + f * gc4, gb4 - f * gc3
+    gw += 0.25 * h * (gc4 * b3 - gc3 * b4)
+    ga3, ga4 = ga3 + f * gb4, ga4 - f * gb3
+    gw += 0.25 * h * (gb4 * a3 - gb3 * a4)
+    return g3 + ga3 + gb3 + gc3 + gd3, g4 + ga4 + gb4 + gc4 + gd4, gv, gw
 
 
 def _integrate_raw(x1, x2, x3, x4, v, w, dt):
+    """The state after dt, and the substep length and tapes."""
     n_sub = max(1, math.ceil(abs(w) * dt / _MAX_HEADING_PER_SUBSTEP))
     h = dt / n_sub
+    tapes = []
+    state = (x1, x2, x3, x4)
     for _ in range(n_sub):
-        x1, x2, x3, x4 = _rk4_substep(x1, x2, x3, x4, v, w, h)
-    return x1, x2, x3, x4
+        state, tape = _rk4_substep(*state, v, w, h)
+        tapes.append(tape)
+    return state, (h, tapes)
 
 
 def integrate_step(state: QuatPose, u: ControlInput, dt: float) -> QuatPose:
@@ -205,7 +263,7 @@ def integrate_step(state: QuatPose, u: ControlInput, dt: float) -> QuatPose:
     invariant holds to machine precision.
     """
     return QuatPose(*_integrate_raw(state.x1, state.x2, state.x3, state.x4,
-                                    u.v, u.omega, dt))
+                                    u.v, u.omega, dt)[0])
 
 
 def _lane_term(x1, x2, lane):
@@ -288,66 +346,57 @@ def stage_cost(state: QuatPose, u: ControlInput, u_prev: ControlInput,
                       u.v, u.omega, u_prev.v, u_prev.omega, lane, cfg)
 
 
+def _stage_partials(x1, x2, x3, x4, v, w, pv, pw, lane, cfg):
+    """Partials of _add_stage's increment in (x1, x2, x3, x4, v, w); those
+    in (pv, pw) are minus the last two. Where the corridor-width or the
+    slope-denominator floor binds, the floored value is held constant."""
+    al, ar = lane.inflated_left.a, lane.inflated_right.a
+    y_l, y_r = lane.inflated_left.y_at(x1), lane.inflated_right.y_at(x1)
+    d = abs(y_l - y_r)
+    dd_dx1 = (al - ar) if y_l >= y_r else (ar - al)
+    if d < _MIN_WIDTH:
+        d, dd_dx1 = _MIN_WIDTH, 0.0
+    s = 2.0 * x2 - y_l - y_r
+    dlane_dx1 = 2.0 * s * -(al + ar) / (d * d) - 2.0 * s * s * dd_dx1 / (d * d * d)
+    dlane_dx2 = 4.0 * s / (d * d)
+
+    D = x3 * x3 - x4 * x4
+    N = 2.0 * x3 * x4
+    if abs(D) < EPS_TAN:
+        D = EPS_TAN if D >= 0 else -EPS_TAN
+        dq_dx3, dq_dx4 = 2.0 * x4 / D, 2.0 * x3 / D
+    else:
+        dq_dx3 = (2.0 * x4 * D - N * 2.0 * x3) / (D * D)
+        dq_dx4 = (2.0 * x3 * D + N * 2.0 * x4) / (D * D)
+    diff = lane.a_avg - N / D
+    return (cfg.K_lane * dlane_dx1, cfg.K_lane * dlane_dx2,
+            -2.0 * cfg.K_orient * diff * dq_dx3,
+            -2.0 * cfg.K_orient * diff * dq_dx4,
+            2.0 * cfg.r_weight_v * (v - pv), 2.0 * cfg.r_weight_omega * (w - pw))
+
+
+def _travel_partials(lane, K_travel):
+    """Partials of _travel_term in (x1, x2); it does not read the heading."""
+    a = lane.a_avg
+    scale = -K_travel / math.sqrt(1.0 + a * a)
+    return scale, scale * a
+
+
 def stage_cost_gradients(state: QuatPose, u: ControlInput, u_prev: ControlInput,
                          lane: LaneModel, cfg: NmpcConfig
                          ) -> tuple[np.ndarray, np.ndarray]:
     """Analytic partials of stage_cost w.r.t. the raw state and the input."""
     _check_corridor(lane, state.x1)
     _check_heading(state.x3, state.x4)
-    al, ar = lane.inflated_left.a, lane.inflated_right.a
-    y_l, y_r = lane.inflated_left.y_at(state.x1), lane.inflated_right.y_at(state.x1)
-    d = y_l - y_r
-    s = 2.0 * state.x2 - y_l - y_r
-    ds_dx1 = -(al + ar)
-    dd_dx1 = al - ar
-    dlane_dx1 = 2.0 * s * ds_dx1 / (d * d) - 2.0 * s * s * dd_dx1 / (d * d * d)
-    dlane_dx2 = 4.0 * s / (d * d)
-
-    x3, x4 = state.x3, state.x4
-    D = x3 * x3 - x4 * x4
-    N = 2.0 * x3 * x4
-    q = N / D
-    diff = lane.a_avg - q
-    dq_dx3 = (2.0 * x4 * D - N * 2.0 * x3) / (D * D)
-    dq_dx4 = (2.0 * x3 * D + N * 2.0 * x4) / (D * D)
-
-    grad_state = np.array([
-        cfg.K_lane * dlane_dx1,
-        cfg.K_lane * dlane_dx2,
-        -2.0 * cfg.K_orient * diff * dq_dx3,
-        -2.0 * cfg.K_orient * diff * dq_dx4,
-    ])
-    grad_u = np.array([
-        2.0 * cfg.r_weight_v * (u.v - u_prev.v),
-        2.0 * cfg.r_weight_omega * (u.omega - u_prev.omega),
-    ])
-    return grad_state, grad_u
+    p = _stage_partials(state.x1, state.x2, state.x3, state.x4,
+                        u.v, u.omega, u_prev.v, u_prev.omega, lane, cfg)
+    return np.array(p[:4]), np.array(p[4:])
 
 
 def meyer_cost_gradient(state: QuatPose, lane: LaneModel, K_travel: float
                         ) -> np.ndarray:
-    a = lane.a_avg
-    scale = -K_travel / math.sqrt(1.0 + a * a)
-    return np.array([scale, scale * a, 0.0, 0.0])
-
-
-def _fd_step(x, lo, hi):
-    """The forward-difference step scipy's approx_derivative takes at x
-    for L-BFGS-B: absolute step _FD_STEP, its relative fallback where
-    x + step == x, then _adjust_scheme_to_bounds' one-sided rule in [lo, hi].
-    """
-    h = _FD_STEP
-    if (x + h) - x == 0.0:
-        h = _FD_FALLBACK * (1.0 if x >= 0 else -1.0) * max(1.0, abs(x))
-    lower, upper = x - lo, hi - x
-    if abs(h) <= max(lower, upper):
-        if not lo <= x + h <= hi:
-            h = -h
-    elif upper >= lower:
-        h = upper
-    else:
-        h = -lower
-    return h
+    """Analytic partials of meyer_cost w.r.t. the raw state."""
+    return np.array([*_travel_partials(lane, K_travel), 0.0, 0.0])
 
 
 class _Candidate(NamedTuple):
@@ -365,7 +414,8 @@ def solve(state: QuatPose, lane: LaneModel, obstacles, u_prev: ControlInput,
 
     The returned sequence is the best feasible candidate among the
     optimizer results, the zero-input sequence, and the warm start, so its
-    cost never exceeds either baseline. The status describes that
+    cost never exceeds either baseline; when none of them is feasible, the
+    constant-reverse plan is offered too. The status describes that
     candidate, as set out in the module docstring.
     """
     n = cfg.horizon_n
@@ -382,60 +432,75 @@ def solve(state: QuatPose, lane: LaneModel, obstacles, u_prev: ControlInput,
     near = [[o for o, d in zip(obs, dist)
              if d < cfg.R_safe + (k + 1) * reach + _REACH_MARGIN]
             for k in range(n)]
+    travel = _travel_partials(lane, cfg.K_travel)
 
-    def rollout(u, k0, states, cost, pen, worst, prefix=None):
-        """(objective, sum of squared violations, max violation, rollout) of
-        the input list u, resumed at step k0: states holds at least the
-        states 0..k0, cost the stage costs of steps 0..k0-1, pen and worst
-        the clearance terms of states 1..k0. prefix, if given, receives
-        (cost, pen, worst) before each step."""
-        states = states[:k0 + 1]
-        pv, pw = (v_prev, w_prev) if k0 == 0 else (u[2 * k0 - 2], u[2 * k0 - 1])
-        for k in range(k0, n):
-            if prefix is not None:
-                prefix.append((cost, pen, worst))
+    def rollout(u):
+        """(objective, sum of squared violations, max violation, rollout,
+        tape) of the input list u. tape[k] holds step k's substep tapes and
+        the sums of g (x1 - ox) and g (x2 - oy) over the violated pairs of
+        the state after it."""
+        states = [start]
+        tape = []
+        cost = pen = worst = 0.0
+        pv, pw = v_prev, w_prev
+        for k in range(n):
             v, w = u[2 * k], u[2 * k + 1]
             cost = _add_stage(cost, *states[k], v, w, pv, pw, lane, cfg)
-            nxt = _integrate_raw(*states[k], v, w, cfg.dt)
+            nxt, substeps = _integrate_raw(*states[k], v, w, cfg.dt)
             states.append(nxt)
             sx, sy = nxt[0], nxt[1]
+            gx = gy = 0.0
             for ox, oy in near[k]:
                 g = r2 - (sx - ox) ** 2 - (sy - oy) ** 2
                 if g > 0.0:
                     pen += g * g
+                    gx += g * (sx - ox)
+                    gy += g * (sy - oy)
                     if g > worst:
                         worst = g
+            tape.append((substeps, gx, gy))
             pv, pw = v, w
         cost += _travel_term(states[n][0], states[n][1], lane, cfg.K_travel)
-        return cost, pen, worst, states
-
-    def evaluate(u_flat):
-        return rollout(u_flat.tolist(), 0, [start], 0.0, 0.0, 0.0)
+        return cost, pen, worst, states, tape
 
     def penalized(u_flat, mu):
-        """The penalized objective and its forward-difference gradient, as
-        scipy's approx_derivative takes it; input i (step i // 2) is
-        perturbed in a rollout resumed from the base rollout's prefix."""
+        """The penalized objective and its exact gradient, from the adjoint
+        of the rollout: the cotangent of each state is carried back through
+        the step's substeps, and the stage terms, travel term and clearance
+        penalty add their partials on the way."""
         u = u_flat.tolist()
-        prefix = []
-        cost, pen, _, states = rollout(u, 0, [start], 0.0, 0.0, 0.0, prefix)
-        f = cost + mu * pen
-        grad = []
-        for i, x in enumerate(u):
-            xh = x + _fd_step(x, lo_list[i], hi_list[i])
-            u[i] = xh
-            cost_i, pen_i, _, _ = rollout(u, i // 2, states, *prefix[i // 2])
-            u[i] = x
-            grad.append(((cost_i + mu * pen_i) - f) / (xh - x))
-        return f, np.array(grad)
+        cost, pen, _, states, tape = rollout(u)
+        grad = [0.0] * (2 * n)
+        l1, l2 = travel
+        l3 = l4 = 0.0
+        for k in range(n - 1, -1, -1):
+            (h, substeps), gx, gy = tape[k]
+            # d(g^2)/dx1 = -4 g (x1 - ox), likewise in x2
+            l1 -= 4.0 * mu * gx
+            l2 -= 4.0 * mu * gy
+            v, w = u[2 * k], u[2 * k + 1]
+            for sub in reversed(substeps):
+                l3, l4, dv, dw = _rk4_substep_adjoint(
+                    l1, l2, l3, l4, v, w, h, sub)
+                grad[2 * k] += dv
+                grad[2 * k + 1] += dw
+            pv, pw = (u[2 * k - 2], u[2 * k - 1]) if k else (v_prev, w_prev)
+            d1, d2, d3, d4, dv, dw = _stage_partials(*states[k], v, w, pv, pw,
+                                                     lane, cfg)
+            l1, l2, l3, l4 = l1 + d1, l2 + d2, l3 + d3, l4 + d4
+            grad[2 * k] += dv
+            grad[2 * k + 1] += dw
+            if k:
+                grad[2 * k - 2] -= dv
+                grad[2 * k - 1] -= dw
+        return cost + mu * pen, np.array(grad)
 
-    def baseline(u_flat):
-        cost, _, worst, states = evaluate(u_flat)
+    def evaluate(u_flat):
+        cost, _, worst, states, _ = rollout(u_flat.tolist())
         return _Candidate(u_flat, cost, worst, states, False)
 
     bounds = [(-cfg.v_max, cfg.v_max), (-cfg.omega_max, cfg.omega_max)] * n
     lo, hi = np.array(bounds).T
-    lo_list, hi_list = lo.tolist(), hi.tolist()
 
     warm = warm_start is not None and len(warm_start.inputs) == n
     if warm:
@@ -456,22 +521,22 @@ def solve(state: QuatPose, lane: LaneModel, obstacles, u_prev: ControlInput,
                            jac=True, bounds=bounds,
                            options={"maxiter": 200, "ftol": 1e-12, "gtol": 1e-8})
             iterations += int(res.nit)
-            u_cur = np.clip(res.x, lo, hi)
-            cost, _, worst, states = evaluate(u_cur)
-            if worst <= cfg.solver_tol:
+            cand = evaluate(np.clip(res.x, lo, hi))
+            if cand.worst <= cfg.solver_tol:
                 break
+            u_cur = cand.u
             mu *= cfg.penalty_growth
-        return _Candidate(u_cur, cost, worst, states, bool(res.success))
+        return cand._replace(converged=bool(res.success))
 
     def cheapest_feasible(cands):
         feasible = [c for c in cands if c.worst <= cfg.solver_tol]
         return min(feasible, key=lambda c: c.cost) if feasible else None
 
     # Never return anything worse than the trivial candidates.
-    zero = baseline(np.zeros(2 * n))
+    zero = evaluate(np.zeros(2 * n))
     candidates = [optimize_from(u_init), zero]
     if warm:
-        candidates.append(baseline(u_init))
+        candidates.append(evaluate(u_init))
     best = cheapest_feasible(candidates)
 
     # A blocking obstacle straight ahead leaves the straight init on a
@@ -483,6 +548,12 @@ def solve(state: QuatPose, lane: LaneModel, obstacles, u_prev: ControlInput,
         for sign in (1.0, -1.0):
             swerve = np.array([0.5 * cfg.v_max, sign * 0.8 * cfg.omega_max] * n)
             candidates.append(optimize_from(swerve))
+        best = cheapest_feasible(candidates)
+
+    # Inside R_safe of a point ahead the feasible plan may be to back
+    # away, which L-BFGS-B, started anywhere forward, does not reach.
+    if best is None:
+        candidates.append(evaluate(np.array([-cfg.v_max, 0.0] * n)))
         best = cheapest_feasible(candidates)
 
     if best is not None:

@@ -243,6 +243,23 @@ def test_sweep_bad_cell_flagged_others_run(fast_config, tmp_path, capsys):
     assert "error" in out and "ok" in out
 
 
+def test_sweep_table_columns_line_up_past_an_error_row(fast_config, tmp_path,
+                                                       capsys):
+    """The cell and status columns are as wide as their longest entry, so an
+    `error: ...` row leaves every later column where the others have it."""
+    grid = tmp_path / "grid.yaml"
+    grid.write_text(yaml.safe_dump({"pipeline.f_points": [0.2, 2.0]}))
+    assert main(["sweep", "--config", fast_config, "--grid", str(grid)]) == 0
+    table = capsys.readouterr().out.splitlines()
+    assert len(table) == 3 and table[2].split()[1] == "error:"
+    assert len(table[2].split()[1] + table[2].split()[2]) > 16
+    start = table[0].index(" ticks")
+    for line in table:
+        assert len(line) == len(table[0])
+        assert line[start] == " "
+        assert line[start + 1:start + 7].strip() == line.split()[-3]
+
+
 def test_sweep_rows_count_ticks_from_the_run(fast_config, tmp_path, capsys):
     """Each sweep row carries its run's ticks, realign ticks and invalid-lane
     ticks, the counts of the trajectory `rownav run` writes for that cell;

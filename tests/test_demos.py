@@ -21,7 +21,7 @@ REPO = Path(__file__).resolve().parents[1]
 
 # sensor, seed, clearance, v_avg, omega_std, mae
 DEMO_04_ROWS = [
-    "depth camera 42 50.4s 0.400 0.016 0.004",
+    "depth camera 42 50.4s 0.400 0.016 0.005",
     "sweep lidar 42 50.4s 0.400 0.021 0.006",
     "depth camera 43 50.4s 0.400 0.011 0.004",
     "sweep lidar 43 50.4s 0.400 0.027 0.008",

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import OptimizeResult
-from scipy.optimize._numdiff import approx_derivative  # what L-BFGS-B calls
+from scipy.optimize._numdiff import approx_derivative
 
 from rownav import nmpc
 from rownav.cli import resolve_config_path
@@ -295,6 +295,20 @@ def test_solve_infeasible_when_surrounded():
     assert seq.status is SolverStatus.INFEASIBLE
 
 
+def test_solve_backs_off_from_inside_r_safe():
+    """A post cell 0.257 m straight ahead, inside R_safe: every plan the
+    optimizer reaches from its forward starts closes in, and the stop
+    stays in violation, so solve returns the constant-reverse plan."""
+    ln = lane(b_l=1.25, b_r=-1.25, margin=0.3)
+    post = (0.257, 0.0)
+    seq = solve(pose_from(0, 0, 0), ln, [post], ControlInput(0, 0), CFG)
+    assert seq.status is SolverStatus.MAX_ITER
+    assert seq.max_constraint_violation == 0.0
+    assert seq.inputs == (ControlInput(-CFG.v_max, 0.0),) * CFG.horizon_n
+    assert all(obstacle_constraint(st, post, CFG.R_safe) < 0.0
+               for st in seq.predicted_states[1:])
+
+
 def _random_instance(rng, with_obstacle=False):
     drawn = random_lane(rng)
     ln = LaneModel(drawn.left, drawn.right, 0.1)
@@ -437,7 +451,7 @@ def test_solve_status_describes_returned_plan(monkeypatch, plan_v, success,
     assert seq.status is expected
 
 
-def _captured_objective(monkeypatch, pose, ln, obstacles, u_prev):
+def _captured_objective(monkeypatch, pose, ln, obstacles, u_prev, cfg=CFG):
     """The penalized objective solve hands to minimize, and its args."""
     seen = []
 
@@ -446,7 +460,7 @@ def _captured_objective(monkeypatch, pose, ln, obstacles, u_prev):
         return OptimizeResult(x=np.array(x0), success=True, nit=0)
 
     monkeypatch.setattr(nmpc, "minimize", stub)
-    solve(pose, ln, obstacles, u_prev, CFG)
+    solve(pose, ln, obstacles, u_prev, cfg)
     return seen[0]
 
 
@@ -464,7 +478,7 @@ def _float64_objective(u_flat, mu, pose, ln, obstacles, u_prev, cfg):
         v, w = u_flat[2 * k], u_flat[2 * k + 1]
         assert type(v) is np.float64
         cost = nmpc._add_stage(cost, *states[k], v, w, pv, pw, ln, cfg)
-        states.append(nmpc._integrate_raw(*states[k], v, w, cfg.dt))
+        states.append(nmpc._integrate_raw(*states[k], v, w, cfg.dt)[0])
         pv, pw = v, w
     cost += nmpc._travel_term(states[n][0], states[n][1], ln, cfg.K_travel)
     pen = 0.0
@@ -509,12 +523,36 @@ def _box_point(rng, lo, n_faces, n_zeros):
     return u
 
 
+# The adjoint gradient is checked against scipy's central difference of the
+# reference loop. A difference is only as good as its step: where a plan
+# turns through a heading of +-90 deg the slope cost bends so sharply that
+# the default step's truncation error reaches 1e-4 of the gradient. So g is
+# compared with the difference at a tenth of that step, and may be off by
+# GRAD_RTOL max(1, largest entry) plus the change between the two
+# differences, which bounds the finer one's error.
+GRAD_RTOL = 1e-6
+FINE_STEP = 6e-7    # a tenth of approx_derivative's default 3-point step
+
+
+def _assert_gradient_close(g, u, mu, pose, ln, obstacles, u_prev, cfg):
+    lo = np.array([-cfg.v_max, -cfg.omega_max] * cfg.horizon_n)
+
+    def central(step):
+        return approx_derivative(_float64_objective, u, method="3-point",
+                                 abs_step=step, bounds=(lo, -lo),
+                                 args=(mu, pose, ln, obstacles, u_prev, cfg))
+
+    coarse, fine = central(None), central(FINE_STEP)
+    tol = GRAD_RTOL * max(1.0, np.abs(fine).max()) + np.abs(coarse - fine)
+    assert np.all(np.abs(g - fine) <= tol)
+
+
 def test_objective_gradient_bit_equal_to_approx_derivative(monkeypatch):
-    """The gradient the objective returns is the one scipy's 2-point
-    approx_derivative takes of the np.float64 reference loop with
-    L-BFGS-B's step and bounds, bit for bit: the same steps, flipped at
-    the upper face of the box, and each resumed rollout the same values as
-    a full one. A third of the points have coordinates on a face."""
+    """The objective's value is bit-equal to the np.float64 reference loop,
+    and its adjoint gradient matches scipy's 3-point approx_derivative of
+    that loop, as _assert_gradient_close states. A third of the points
+    have coordinates on a face of the box, where the difference is
+    one-sided."""
     rng = np.random.default_rng(22)
     lo = np.array([-CFG.v_max, -CFG.omega_max] * CFG.horizon_n)
     hi = -lo
@@ -528,13 +566,33 @@ def test_objective_gradient_bit_equal_to_approx_derivative(monkeypatch):
             u = _box_point(rng, lo, n_faces, int(rng.integers(0, 3)))
             mu = args[0] * CFG.penalty_growth ** int(rng.integers(0, 8))
             f, g = fun(u, mu)
-            ref = approx_derivative(
-                _float64_objective, u, method="2-point", abs_step=1e-8, f0=f,
-                bounds=(lo, hi), args=(mu, pose, ln, obstacles, u_prev, CFG))
-            assert [x.hex() for x in g.tolist()] == [x.hex() for x in ref.tolist()]
+            ref = _float64_objective(u, mu, pose, ln, obstacles, u_prev, CFG)
+            assert f.hex() == float(ref).hex()
+            _assert_gradient_close(g, u, mu, pose, ln, obstacles, u_prev, CFG)
             checked += 1
             on_face += bool(np.any(np.abs(u) == hi))
     assert checked == 200 and on_face >= checked // 3
+
+
+def test_objective_gradient_where_the_slope_floor_binds(monkeypatch):
+    """Started at a heading of +-90 deg and turning at most 5e-5 rad/s, every
+    predicted heading pair has |x3^2 - x4^2| < EPS_TAN, where _align_term
+    floors it; the gradient is the floored branch's. K_orient is 1e-4 so
+    that the floored slope, 1e3, leaves the objective small enough for a
+    central difference to resolve its gradient."""
+    cfg = NmpcConfig(K_orient=1e-4)
+    rng = np.random.default_rng(24)
+    lo = np.array([-cfg.v_max, -cfg.omega_max] * cfg.horizon_n)
+    for theta in (math.pi / 2, -math.pi / 2):
+        pose, ln = pose_from(0.0, 0.1, theta), lane(margin=0.1)
+        u_prev = ControlInput(0.1, 0.0)
+        fun, args = _captured_objective(monkeypatch, pose, ln, [], u_prev, cfg)
+        for _ in range(10):
+            u = rng.uniform(lo, -lo) * np.array([1.0, 1e-4] * cfg.horizon_n)
+            f, g = fun(u, args[0])
+            ref = _float64_objective(u, args[0], pose, ln, [], u_prev, cfg)
+            assert f.hex() == float(ref).hex()
+            _assert_gradient_close(g, u, args[0], pose, ln, [], u_prev, cfg)
 
 
 def _on_circle(rng, cx, cy, radii):
@@ -542,42 +600,47 @@ def _on_circle(rng, cx, cy, radii):
     return np.column_stack([cx + radii * np.cos(angle), cy + radii * np.sin(angle)])
 
 
+def _reach_radii(pose, cfg):
+    """R_safe, then every step's reach circle around the start, R_safe +
+    (k+1) 1.1 v_max dt max(1, x3^2+x4^2) + 1e-6."""
+    reach = 1.1 * cfg.v_max * cfg.dt * max(1.0, pose.x3 ** 2 + pose.x4 ** 2)
+    return [cfg.R_safe] + [cfg.R_safe + (k + 1) * reach + 1e-6
+                           for k in range(cfg.horizon_n)]
+
+
 def _edge_obstacles(rng, pose, cfg):
     """Obstacles around pose: a 0.5 m lattice over a 6 x 8 m grid, points on
-    every step's reach circle R_safe + (k+1) 1.1 v_max dt max(1, x3^2+x4^2)
-    + 1e-6 moved 1e-6 to 1e-3 m in or out, and points at R_safe."""
+    every step's reach circle moved 1e-6 to 1e-3 m in or out, and points
+    at R_safe."""
     cx, cy = pose.x1, pose.x2
     gx, gy = np.meshgrid(np.linspace(-3.0, 3.0, 13), np.linspace(-4.0, 4.0, 17))
     points = [np.column_stack([cx + gx.ravel(), cy + gy.ravel()])]
-    reach = 1.1 * cfg.v_max * cfg.dt * max(1.0, pose.x3 ** 2 + pose.x4 ** 2)
-    for k in range(cfg.horizon_n):
-        radius = cfg.R_safe + (k + 1) * reach + 1e-6
+    radii = _reach_radii(pose, cfg)
+    for radius in radii[1:]:
         shift = rng.choice([-1.0, 1.0], 8) * 10.0 ** rng.uniform(-6, -3, 8)
         points.append(_on_circle(rng, cx, cy, radius + shift))
-    points.append(_on_circle(rng, cx, cy, np.full(8, cfg.R_safe)))
+    points.append(_on_circle(rng, cx, cy, np.full(8, radii[0])))
     return np.concatenate(points)
 
 
-def _bit_equal_to_all_obstacle_loop(f, g, u, mu, pose, ln, obstacles, u_prev, cfg):
-    """Assert that (f, g) are the bits of the reference objective, which
-    loops over every obstacle, and of its approx_derivative gradient;
-    return whether the clearance penalty is active at u."""
-    lo = np.array([-cfg.v_max, -cfg.omega_max] * cfg.horizon_n)
+def _matches_all_obstacle_loop(f, g, u, mu, pose, ln, obstacles, u_prev, cfg):
+    """Assert that f is the bits of the reference objective, which loops
+    over every obstacle, and that g matches its central difference; return
+    whether the clearance penalty is active at u."""
     args = (pose, ln, obstacles, u_prev, cfg)
     ref = _float64_objective(u, mu, *args)
     assert f.hex() == float(ref).hex()
-    ref_g = approx_derivative(_float64_objective, u, method="2-point",
-                              abs_step=1e-8, f0=f, bounds=(lo, -lo), args=(mu, *args))
-    assert [x.hex() for x in g.tolist()] == [x.hex() for x in ref_g.tolist()]
+    _assert_gradient_close(g, u, mu, *args)
     return ref != _float64_objective(u, 0.0, *args)
 
 
 def test_objective_bit_equal_to_all_obstacle_reference_at_reach_edges(monkeypatch):
     """solve drops the obstacles no state of step k can reach; the objective
-    and its gradient stay bit-equal to the reference loops over every
-    obstacle. Starts lie off the origin, heading pairs have x3^2 + x4^2 from
-    0.25 to 4, and two thirds of the inputs have 2 to 6 coordinates on the
-    box faces, where the plan moves furthest."""
+    stays bit-equal to the reference loop over every obstacle, and its
+    gradient matches that loop's central difference. Starts lie off the
+    origin, heading pairs have x3^2 + x4^2 from 0.25 to 4, and two thirds
+    of the inputs have 2 to 6 coordinates on the box faces, where the plan
+    moves furthest."""
     rng = np.random.default_rng(23)
     lo = np.array([-CFG.v_max, -CFG.omega_max] * CFG.horizon_n)
     checked = penalised = 0
@@ -594,24 +657,61 @@ def test_objective_bit_equal_to_all_obstacle_reference_at_reach_edges(monkeypatc
             u = _box_point(rng, lo, n_faces, 0)
             mu = args[0] * CFG.penalty_growth ** int(rng.integers(0, 8))
             f, g = fun(u, mu)
-            penalised += _bit_equal_to_all_obstacle_loop(
+            penalised += _matches_all_obstacle_loop(
                 f, g, u, mu, pose, ln, obstacles, u_prev, CFG)
             checked += 1
     assert checked == 120 and penalised >= checked // 2
 
 
+adjoint_cases = st.tuples(
+    st.floats(-0.25, 0.25), st.floats(0.6, 1.5), st.floats(0.6, 1.5),
+    st.floats(-3.0, 3.0), st.floats(-3.0, 3.0),
+    st.floats(0.25, 4.0), st.floats(-math.pi / 2, math.pi / 2),
+    st.lists(st.tuples(st.integers(0, CFG.horizon_n), st.floats(-math.pi, math.pi),
+                       st.floats(-1e-3, 1e-3)), min_size=1, max_size=12),
+    st.lists(st.sampled_from([-1.0, 1.0]) | st.floats(-1.0, 1.0),
+             min_size=2 * CFG.horizon_n, max_size=2 * CFG.horizon_n),
+    st.integers(0, 7))
+
+
+@settings(max_examples=40)
+@given(adjoint_cases)
+def test_objective_gradient_matches_central_differences_property(case):
+    """The adjoint gradient matches scipy's central difference of the
+    reference loop, as _assert_gradient_close states: random lanes, starts whose heading
+    pair has x3^2 + x4^2 from 0.25 to 4, obstacles within 1e-3 m of R_safe
+    or of a reach circle around the start, inputs drawn on the box faces
+    as often as inside, and every penalty weight of the loop."""
+    a, b_l, b_r, x, y, scale2, half, placed, frac, e = case
+    ln = lane(a_l=a, b_l=b_l, a_r=a, b_r=-b_r, margin=0.1)
+    s = math.sqrt(scale2)
+    pose = QuatPose(x, y, s * math.cos(half), s * math.sin(half))
+    radii = _reach_radii(pose, CFG)
+    obstacles = [(x + (radii[j] + dr) * math.cos(t), y + (radii[j] + dr) * math.sin(t))
+                 for j, t, dr in placed]
+    u_prev = ControlInput(0.1, -0.05)
+    u = np.array(frac) * np.array([CFG.v_max, CFG.omega_max] * CFG.horizon_n)
+    with pytest.MonkeyPatch.context() as mp:
+        fun, args = _captured_objective(mp, pose, ln, obstacles, u_prev)
+    mu = args[0] * CFG.penalty_growth ** e
+    f, g = fun(u, mu)
+    ref = _float64_objective(u, mu, pose, ln, obstacles, u_prev, CFG)
+    assert f.hex() == float(ref).hex()
+    _assert_gradient_close(g, u, mu, pose, ln, obstacles, u_prev, CFG)
+
+
 def test_objective_bit_equal_on_the_solves_of_the_post_pass(monkeypatch):
     """The post stretch of bundled sim_obstacle, 60 ticks from x = 6 m with
-    the post at x = 10 m: every input the objective is evaluated at, the
-    perturbed ones of its gradient included, lies in the input box, and
-    every 15th call's (f, g) is bit-equal to the reference loops over all
-    the obstacle points perception handed to solve."""
+    the post at x = 10 m: every input the objective is evaluated at lies in
+    the input box, and every 15th call's f is bit-equal to the reference
+    loop over all the obstacle points perception handed to solve, and its
+    g matches that loop's central difference."""
     cfg = load_scenario(resolve_config_path("sim_obstacle"))
     ncfg = cfg.nmpc
     lo = np.array([-ncfg.v_max, -ncfg.omega_max] * ncfg.horizon_n)
     solve_args = []
     calls = checked = penalised = 0
-    real_solve, real_minimize, real_fd_step = nmpc.solve, nmpc.minimize, nmpc._fd_step
+    real_solve, real_minimize = nmpc.solve, nmpc.minimize
 
     def recording_solve(*args, **kwargs):
         solve_args.append(args[:4])
@@ -624,40 +724,20 @@ def test_objective_bit_equal_on_the_solves_of_the_post_pass(monkeypatch):
             f, g = fun(u, mu)
             calls += 1
             if calls % 15 == 0:
-                penalised += _bit_equal_to_all_obstacle_loop(
+                penalised += _matches_all_obstacle_loop(
                     f, g, u, mu, *solve_args[-1], ncfg)
                 checked += 1
             return f, g
         return real_minimize(checked_fun, x0, args=args, **kwargs)
 
-    def checking_fd_step(x, lo_i, hi_i):
-        h = real_fd_step(x, lo_i, hi_i)
-        assert lo_i <= x + h <= hi_i
-        return h
-
     monkeypatch.setattr(nmpc, "solve", recording_solve)
     monkeypatch.setattr(nmpc, "minimize", checking_minimize)
-    monkeypatch.setattr(nmpc, "_fd_step", checking_fd_step)
     log = run_scenario(generate_world(cfg.world), pose_from(6.0, 0.0, 0.0),
                        cfg.camera, cfg.pipeline, ncfg, cfg.fallback,
                        cfg.targets, 60)
     assert not log.collision and log.records[-1].pose.x1 > 12.0
     assert sum(len(args[2]) > 0 for args in solve_args) >= 40
     assert checked >= 100 and penalised >= 30
-
-
-@pytest.mark.parametrize("x, lo, hi", [
-    (0.0, -0.4, 0.4), (0.25, -0.4, 0.4), (-0.4, -0.4, 0.4), (0.4, -0.4, 0.4),
-    (0.4 - 5e-9, -0.4, 0.4),          # x + step leaves the box: flip
-    (1e9, -2e9, 2e9), (-1e9, -2e9, 2e9),   # x + step == x: relative step
-    (2e-9, 0.0, 5e-9), (3e-9, 0.0, 5e-9),  # step does not fit: clamp
-])
-def test_fd_step_is_approx_derivative_step(x, lo, hi):
-    seen = []
-    approx_derivative(lambda z: seen.append(z[0]) or 0.0, np.array([x]),
-                      method="2-point", abs_step=1e-8, f0=0.0,
-                      bounds=(np.array([lo]), np.array([hi])))
-    assert (x + nmpc._fd_step(x, lo, hi)).hex() == float(seen[0]).hex()
 
 
 box_instances = st.tuples(
