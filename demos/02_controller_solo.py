@@ -2,8 +2,9 @@
 """Exercise the receding-horizon controller on hand-built corridors.
 
 No simulator here: lanes and obstacles are constructed directly so the
-solver's behavior is easy to read off. Three situations: centered cruise,
-off-center correction, and an obstacle blocking the middle of the lane.
+solver's behavior is easy to read off. Four situations: centered cruise,
+off-center correction, and a post in the middle of the lane, once exactly
+on the rover's axis and once 2 cm off it.
 """
 
 from rownav.core import BorderLine, ControlInput, pose_from
@@ -36,5 +37,9 @@ show("0.3 m left of center: steer back right",
 
 wide = LaneModel(BorderLine(0.0, 1.25, "left"),
                  BorderLine(0.0, -1.25, "right"), 0.3)
-show("obstacle at (1.2, 0) in a wide lane: the plan bends around it",
+show("post at (1.2, 0) on the axis of a symmetric lane: the plan is the stop\n"
+     "  (a mirror-symmetric problem has no gradient in omega, so no run turns)",
      solve(pose_from(0, 0, 0), wide, [(1.2, 0.0)], ControlInput(0.4, 0), cfg))
+
+show("post at (1.2, 0.02), 2 cm off the axis: the plan bends around it",
+     solve(pose_from(0, 0, 0), wide, [(1.2, 0.02)], ControlInput(0.4, 0), cfg))

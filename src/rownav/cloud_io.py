@@ -31,7 +31,9 @@ def _format_of(path: str) -> str:
 def read_cloud(path: str) -> np.ndarray:
     """Load an (N, 3) cloud; format chosen by file extension."""
     if _format_of(path) == "text":
-        data = np.loadtxt(path, dtype=float)
+        data = np.loadtxt(path, dtype=float, ndmin=2)
+        if data.size and data.shape[1] != 3:
+            raise ValueError(f"{path}: rows hold {data.shape[1]} numbers, not x y z")
         return data.reshape(-1, 3)
     raw = np.fromfile(path, dtype="<f4")
     if raw.size % 3 != 0:
@@ -65,9 +67,12 @@ def read_pgm(path: str) -> np.ndarray:
         for line in fh:
             line = line.split("#", 1)[0]
             tokens.extend(line.split())
-    if tokens[0] != "P2":
+    if len(tokens) < 4 or tokens[0] != "P2":
         raise ValueError(f"{path}: not an ASCII PGM file")
     width, height, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
+    if len(tokens) - 4 != width * height:
+        raise ValueError(f"{path}: {len(tokens) - 4} pixel values for a "
+                         f"{width} x {height} grid")
     vals = np.array(tokens[4:], dtype=int).reshape(height, width)
     if maxval <= 0:
         raise ValueError(f"{path}: bad maxval {maxval}")

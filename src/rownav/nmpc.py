@@ -57,7 +57,7 @@ median plan moved by 3e-8, and 2 plans by more than 1e-3.
 
 The penalty loop skips the clearance terms no plan can reach. Every
 input the objective sees lies in the box: L-BFGS-B evaluates only points
-inside it, and the baselines and swerves start inside it. An RK4
+inside it, and its start and the baselines lie inside it. An RK4
 substep turns the heading by at most 0.1 rad, so it moves the position
 at most |v| h times the largest stage norm^2, under 1.001 times x3^2 +
 x4^2; that is the start pair's for the first substep, which runs before
@@ -71,15 +71,26 @@ before, so the objective, its gradient and the plans are the same bits
 as a loop over every obstacle. On sim_obstacle about 9% of the (state,
 obstacle) pairs are kept.
 
-A solve status describes the returned plan: CONVERGED for an optimizer
-result whose last L-BFGS-B run reported success, MAX_ITER for one whose
-run stopped short and for a baseline plan (zero input, the shifted warm
-start, or constant reverse), INFEASIBLE when no candidate meets the
-clearance constraints within solver_tol. Constant reverse (v = -v_max,
-omega = 0) is offered only when no other candidate is feasible. From
-inside R_safe of a point ahead it may be the only way out. It is a
+solve runs the penalty rounds from one start, u_init: the shifted warm
+start, or half speed straight ahead without one. Its plan is one of four
+candidates: that optimizer result, the zero plan, the shifted warm start
+(when there is one) and constant reverse (v = -v_max, omega = 0). The
+rule: the cheapest candidate that meets the clearance constraints within
+solver_tol, else the least violating one. The status describes that
+plan: CONVERGED for the optimizer result when its last L-BFGS-B run
+reported success, MAX_ITER when that run stopped short or the plan is a
+baseline, INFEASIBLE when no candidate is feasible. From inside R_safe
+of a point ahead, constant reverse may be the only way out. It is a
 baseline, not an optimizer start, because L-BFGS-B started there drifts
 forward again, back into the point.
+
+An exactly mirror-symmetric problem is a saddle: a lane symmetric about
+the rover's axis, the rover on it with omega_prev = 0, and the points
+mirrored too, say one post dead ahead. From a start with omega = 0 the
+gradient in omega is exactly 0, so no L-BFGS-B run turns, and the plan
+for a post the rover cannot pass straight is the stop (MAX_ITER). 1e-9 m
+off the axis breaks the tie, and the plan bends around the post. A lane
+fitted to a noisy frame is never exactly symmetric.
 """
 
 from __future__ import annotations
@@ -412,10 +423,10 @@ def solve(state: QuatPose, lane: LaneModel, obstacles, u_prev: ControlInput,
           ) -> ControlSequence:
     """Solve the horizon problem and return a saturated input sequence.
 
-    The returned sequence is the best feasible candidate among the
-    optimizer results, the zero-input sequence, and the warm start, so its
-    cost never exceeds either baseline; when none of them is feasible, the
-    constant-reverse plan is offered too. The status describes that
+    The returned sequence is the cheapest feasible candidate among the
+    optimizer result, the zero plan, the shifted warm start and constant
+    reverse, so its cost never exceeds a feasible baseline's; when none
+    is feasible, it is the least violating one. The status describes that
     candidate, as set out in the module docstring.
     """
     n = cfg.horizon_n
@@ -495,9 +506,9 @@ def solve(state: QuatPose, lane: LaneModel, obstacles, u_prev: ControlInput,
                 grad[2 * k - 1] -= dw
         return cost + mu * pen, np.array(grad)
 
-    def evaluate(u_flat):
+    def evaluate(u_flat, converged=False):
         cost, _, worst, states, _ = rollout(u_flat.tolist())
-        return _Candidate(u_flat, cost, worst, states, False)
+        return _Candidate(u_flat, cost, worst, states, converged)
 
     bounds = [(-cfg.v_max, cfg.v_max), (-cfg.omega_max, cfg.omega_max)] * n
     lo, hi = np.array(bounds).T
@@ -510,55 +521,29 @@ def solve(state: QuatPose, lane: LaneModel, obstacles, u_prev: ControlInput,
         u_init = np.array([0.5 * cfg.v_max, 0.0] * n)
     u_init = np.clip(u_init, lo, hi)
 
+    # Penalty rounds from the one start: each round restarts L-BFGS-B from
+    # the last result with a heavier clearance weight.
     iterations = 0
+    u_cur, mu = u_init, cfg.penalty_init
+    for _ in range(cfg.solver_max_iter):
+        res = minimize(penalized, u_cur, args=(mu,), method="L-BFGS-B",
+                       jac=True, bounds=bounds,
+                       options={"maxiter": 200, "ftol": 1e-12, "gtol": 1e-8})
+        iterations += int(res.nit)
+        optimized = evaluate(np.clip(res.x, lo, hi), bool(res.success))
+        if optimized.worst <= cfg.solver_tol:
+            break
+        u_cur = optimized.u
+        mu *= cfg.penalty_growth
 
-    def optimize_from(u_start):
-        nonlocal iterations
-        mu = cfg.penalty_init
-        u_cur = u_start
-        for _ in range(cfg.solver_max_iter):
-            res = minimize(penalized, u_cur, args=(mu,), method="L-BFGS-B",
-                           jac=True, bounds=bounds,
-                           options={"maxiter": 200, "ftol": 1e-12, "gtol": 1e-8})
-            iterations += int(res.nit)
-            cand = evaluate(np.clip(res.x, lo, hi))
-            if cand.worst <= cfg.solver_tol:
-                break
-            u_cur = cand.u
-            mu *= cfg.penalty_growth
-        return cand._replace(converged=bool(res.success))
-
-    def cheapest_feasible(cands):
-        feasible = [c for c in cands if c.worst <= cfg.solver_tol]
-        return min(feasible, key=lambda c: c.cost) if feasible else None
-
-    # Never return anything worse than the trivial candidates.
-    zero = evaluate(np.zeros(2 * n))
-    candidates = [optimize_from(u_init), zero]
+    candidates = [optimized, evaluate(np.zeros(2 * n))]
     if warm:
         candidates.append(evaluate(u_init))
-    best = cheapest_feasible(candidates)
-
-    # A blocking obstacle straight ahead leaves the straight init on a
-    # saddle (zero gradient in omega). If the plain solve could not beat
-    # simply stopping, retry from a left and a right swerve.
-    stuck = best is None or (zero.worst <= cfg.solver_tol
-                             and best.cost >= zero.cost - 1e-9)
-    if obs and stuck:
-        for sign in (1.0, -1.0):
-            swerve = np.array([0.5 * cfg.v_max, sign * 0.8 * cfg.omega_max] * n)
-            candidates.append(optimize_from(swerve))
-        best = cheapest_feasible(candidates)
-
-    # Inside R_safe of a point ahead the feasible plan may be to back
-    # away, which L-BFGS-B, started anywhere forward, does not reach.
-    if best is None:
-        candidates.append(evaluate(np.array([-cfg.v_max, 0.0] * n)))
-        best = cheapest_feasible(candidates)
-
-    if best is not None:
-        chosen = best
-        status = SolverStatus.CONVERGED if best.converged else SolverStatus.MAX_ITER
+    candidates.append(evaluate(np.array([-cfg.v_max, 0.0] * n)))
+    feasible = [c for c in candidates if c.worst <= cfg.solver_tol]
+    if feasible:
+        chosen = min(feasible, key=lambda c: c.cost)
+        status = SolverStatus.CONVERGED if chosen.converged else SolverStatus.MAX_ITER
     else:
         chosen = min(candidates, key=lambda c: c.worst)
         status = SolverStatus.INFEASIBLE

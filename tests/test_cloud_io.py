@@ -34,6 +34,29 @@ def test_truncated_binary_rejected(tmp_path):
         read_cloud(str(path))
 
 
+@pytest.mark.parametrize("rows", ["1 2\n3 4\n5 6\n", "1 2 3 9\n4 5 6 9\n7 8 9 9\n"],
+                         ids=["xy", "xyz-intensity"])
+def test_text_cloud_without_three_columns_rejected(tmp_path, rows):
+    path = tmp_path / "bad.xyz"
+    path.write_text(rows)
+    with pytest.raises(ValueError, match="bad.xyz"):
+        read_cloud(str(path))
+
+
+def test_empty_pgm_rejected(tmp_path):
+    path = tmp_path / "empty.pgm"
+    path.write_text("")
+    with pytest.raises(ValueError, match="empty.pgm"):
+        read_pgm(str(path))
+
+
+def test_pgm_with_missing_pixels_rejected(tmp_path):
+    path = tmp_path / "short.pgm"
+    path.write_text("P2\n3 2\n255\n0 255 0\n255 0\n")
+    with pytest.raises(ValueError, match="short.pgm"):
+        read_pgm(str(path))
+
+
 def test_pgm_round_trip(tmp_path):
     grid = project_to_grid([(1.0, 0.5, 1.0), (2.0, -0.7, 1.0)],
                            PipelineConfig())

@@ -2,13 +2,15 @@
 
 Each demo runs from a copy in a temporary directory, so the files it writes
 (demo 01's PGM grids next to itself, demo 05's scratch directory under
-TMPDIR) stay out of the source tree. Demo 04's metric table must read as
+TMPDIR) stay out of the source tree. Demo 02's post 2 cm off the axis must
+get a converged plan that turns. Demo 04's metric table must read as
 recorded below, so a change to the renderer or the closed loop that moves
 either sensor's run shows here. Demo 03 takes tens of seconds and is left
 out.
 """
 
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -40,6 +42,12 @@ def test_demo_runs(name, tmp_path):
     if name == "05_cli_workflow":
         # run, check and sweep each report their exit code instead of raising
         assert proc.stdout.count("(exit 0)") == 3, proc.stdout
+    if name == "02_controller_solo":
+        block = next(b.splitlines() for b in proc.stdout.split("\n\n")
+                     if "off the axis" in b)
+        assert "status=converged" in block[1], proc.stdout
+        omegas = [float(w) for w in re.findall(r"([-+][\d.]+) rad/s\)", "\n".join(block))]
+        assert len(omegas) == 5 and any(omegas), proc.stdout
     if name == "04_sensor_comparison":
         rows = [" ".join(line.split()) for line in proc.stdout.splitlines()[1:]]
         assert rows == DEMO_04_ROWS, proc.stdout

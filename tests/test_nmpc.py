@@ -309,6 +309,47 @@ def test_solve_backs_off_from_inside_r_safe():
                for st in seq.predicted_states[1:])
 
 
+WIDE = lane(b_l=1.25, b_r=-1.25, margin=0.3)
+
+
+def test_penalty_rounds_restart_from_the_last_result(monkeypatch):
+    """solve has one optimizer start: the first L-BFGS-B run starts at
+    u_init (half speed, straight, with no warm start) and every later one
+    at the previous round's clipped result. A post dead ahead on a
+    symmetric lane, where the plan stays straight, takes every round."""
+    starts, results = [], []
+    hi = np.array([CFG.v_max, CFG.omega_max] * CFG.horizon_n)
+    real_minimize = nmpc.minimize
+
+    def recording(fun, x0, *args, **kwargs):
+        starts.append(np.array(x0))
+        res = real_minimize(fun, x0, *args, **kwargs)
+        results.append(np.clip(res.x, -hi, hi))
+        return res
+
+    monkeypatch.setattr(nmpc, "minimize", recording)
+    solve(pose_from(0, 0, 0), WIDE, [(1.2, 0.0)], ControlInput(CFG.v_max, 0), CFG)
+    np.testing.assert_array_equal(starts[0], [0.5 * CFG.v_max, 0.0] * CFG.horizon_n)
+    for start, previous in zip(starts[1:], results):
+        np.testing.assert_array_equal(start, previous)
+    assert len(starts) == CFG.solver_max_iter
+
+
+@pytest.mark.parametrize("offset", [1e-3, -1e-3])
+def test_post_just_off_the_axis_is_passed(offset):
+    """1 mm off the axis of the symmetric lane breaks the mirror tie: the
+    plan converges, turns away from the post, clears R_safe within
+    solver_tol and ends beyond it."""
+    post = (1.2, offset)
+    seq = solve(pose_from(0, 0, 0), WIDE, [post], ControlInput(CFG.v_max, 0), CFG)
+    assert seq.status is SolverStatus.CONVERGED
+    assert seq.max_constraint_violation <= CFG.solver_tol
+    assert all(obstacle_constraint(st, post, CFG.R_safe) <= CFG.solver_tol
+               for st in seq.predicted_states[1:])
+    assert all(u.omega * offset < 0.0 for u in seq.inputs)
+    assert seq.predicted_states[-1].x1 > post[0]
+
+
 def _random_instance(rng, with_obstacle=False):
     drawn = random_lane(rng)
     ln = LaneModel(drawn.left, drawn.right, 0.1)
@@ -363,13 +404,24 @@ def _objective(seq_inputs, pose, ln, u_prev, cfg):
 
 
 def test_solver_beats_zero_control_baseline():
+    """Never worse than stopping, nor than constant reverse where that
+    plan clears every obstacle."""
     rng = np.random.default_rng(6)
+    reverse = [ControlInput(-CFG.v_max, 0.0)] * CFG.horizon_n
     for _ in range(50):
         pose, ln, obstacles, u_prev = _random_instance(rng)
         seq = solve(pose, ln, obstacles, u_prev, CFG)
         zero = [ControlInput(0.0, 0.0)] * CFG.horizon_n
         z_cost = _objective(zero, pose, ln, u_prev, CFG)
         assert seq.cost <= z_cost + 1e-9
+        state, worst = pose, 0.0
+        for u in reverse:
+            state = integrate_step(state, u, CFG.dt)
+            worst = max([worst] + [obstacle_constraint(state, ob, CFG.R_safe)
+                                   for ob in obstacles])
+        if worst <= CFG.solver_tol:
+            r_cost = _objective(reverse, pose, ln, u_prev, CFG)
+            assert seq.cost <= r_cost + 1e-9
 
 
 def test_solver_beats_warm_start_candidate():
