@@ -7,9 +7,9 @@ simulator for closed-loop evaluation.
 
 from .core import (BorderLine, ControlInput, Point2, QuatPose,
                    heading_of, pose_from, wrap_angle)
-from .nmpc import (ControlSequence, InfeasibleError, NmpcConfig, NmpcController,
-                   SolverStatus, align_cost, dynamics, integrate_step, lane_cost,
-                   meyer_cost, obstacle_constraint, solve, stage_cost)
+from .nmpc import (ControlSequence, NmpcConfig, NmpcController, SolverStatus,
+                   align_cost, dynamics, integrate_step, lane_cost, meyer_cost,
+                   solve, stage_cost)
 from .pipeline import (LaneModel, OccupancyGrid, PerceptionResult,
                        PerceptionStatus, PipelineConfig, process)
 from .sim import (CameraSpec, Centerline, ObstacleSpec, RunLog, TargetSpec,

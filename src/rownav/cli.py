@@ -60,6 +60,16 @@ def _override_seed(cfg: ScenarioConfig, seed: int | None) -> ScenarioConfig:
     return cfg
 
 
+def _make_out_dir(path: str) -> bool:
+    """Create the output directory, or print why it cannot be made."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        print(f"error: --out {path}: {exc}", file=sys.stderr)
+        return False
+    return True
+
+
 def _write_trajectory_csv(log: RunLog, path: str) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -108,7 +118,8 @@ def _cmd_run(args) -> int:
         return _config_errors([exc])
 
     out_dir = args.out
-    os.makedirs(out_dir, exist_ok=True)
+    if not _make_out_dir(out_dir):
+        return 2
     written: list[str] = []
     try:
         log, report = execute_scenario(cfg)
@@ -221,12 +232,18 @@ def _cmd_sweep(args) -> int:
             grid = yaml.safe_load(fh) or {}
         if not isinstance(grid, dict):
             raise ConfigError([f"{args.grid}: expected a mapping of key -> list"])
+        if args.seed is not None and "world.seed" in grid:
+            raise ConfigError(["--seed would override the grid's world.seed; "
+                               "give the seeds in one place"])
         # validate the baseline and the seed override before sweeping
         _override_seed(scenario_from_dict(base), args.seed)
     except ConfigError as exc:
         return _config_errors(exc.errors)
     except (OSError, yaml.YAMLError) as exc:
         return _config_errors([exc])
+
+    if args.out and not _make_out_dir(args.out):
+        return 2
 
     keys = sorted(grid)
     value_lists = [grid[k] if isinstance(grid[k], list) else [grid[k]] for k in keys]
@@ -263,7 +280,6 @@ def _cmd_sweep(args) -> int:
         ticks, realign, invalid = ("-" if c is None else c for c in counts.values())
         print(f"{line} {ticks:>6} {realign:>7} {invalid:>7}")
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
         payload = [{"cell": label, "status": status,
                     "metrics": report.as_dict() if report else None, **counts}
                    for label, status, report, counts in rows]

@@ -14,10 +14,11 @@ solver tolerance; input box bounds are kept by projection inside the
 L-BFGS-B inner step, so returned inputs satisfy them exactly.
 
 The public cost functions (lane_cost, align_cost, stage_cost, meyer_cost)
-and the dynamics are the ones solve minimises and integrates: both call
-the same scalar kernels. Where the kernels floor the corridor width or
-the slope denominator, so that line searches stay finite, the public
-functions raise DegenerateCorridor or NearPerpendicular instead.
+and the dynamics are the ones solve minimises and integrates: each is
+one scalar kernel, which both call. The kernels keep line searches
+finite with two floors: a corridor narrower than 1e-9 m counts as that
+wide, and a slope denominator x3^2 - x4^2 (the cosine of the heading)
+within EPS_TAN of 0 counts as EPS_TAN with its sign (0 as +EPS_TAN).
 
 The objective L-BFGS-B calls runs on Python floats: solve converts the
 input vector with one .tolist() per evaluation, and the obstacle points,
@@ -40,12 +41,11 @@ carries the state's cotangent back step by step. It adds the clearance
 partials -4 mu g (x - o) of the state after the step. It runs the
 substeps in reverse (_rk4_substep_adjoint, through the renormalisation
 and the RK4 stages, whose heading update is linear in the heading). It
-then adds the stage term's partials (_stage_partials, which
-stage_cost_gradients returns too). A gradient costs about two rollouts;
-a forward difference costs n + 2 even when each perturbed rollout
-resumes at the perturbed step (35 steps at n = 5). Where max(0, g), the substep
-count or a floor switches, the gradient is that of the branch the
-forward pass took.
+then adds the stage term's partials (_stage_partials). A gradient costs
+about two rollouts; a forward difference costs n + 2 even when each
+perturbed rollout resumes at the perturbed step (35 steps at n = 5).
+Where max(0, g), the substep count or a floor switches, the gradient is
+that of the branch the forward pass took.
 
 The forward pass makes the same operations in the same order as a plain
 rollout, so the objective is the same bits as the np.float64 reference
@@ -106,8 +106,8 @@ from scipy.optimize import minimize
 from .core import ControlInput, QuatPose
 from .pipeline import LaneModel
 
-# Headings closer than this to +-90 deg make the rover-slope tangent
-# blow up; such states are the fallback controller's job, not the NMPC's.
+# Near +-90 deg the rover-slope tangent blows up: the slope cost floors
+# |x3^2 - x4^2| at this value.
 EPS_TAN = 1e-3
 
 # Max heading change per RK4 substep. A single step at the rated bounds
@@ -115,7 +115,7 @@ EPS_TAN = 1e-3
 # substepping keeps it below 1e-8.
 _MAX_HEADING_PER_SUBSTEP = 0.1
 
-# Corridor widths below this count as borders that meet.
+# The lane cost floors the corridor width at this (m): borders that meet.
 _MIN_WIDTH = 1e-9
 
 # A step at |v| <= v_max moves the position at most |v| * dt times the
@@ -123,18 +123,6 @@ _MIN_WIDTH = 1e-9
 # substep); the slack and the margin (m) cover that factor and rounding.
 _REACH_SLACK = 1.1
 _REACH_MARGIN = 1e-6
-
-
-class DegenerateCorridor(ValueError):
-    """Raised when the two border lines meet at the queried depth."""
-
-
-class NearPerpendicular(ValueError):
-    """Raised when the heading is within EPS_TAN of +-90 deg."""
-
-
-class InfeasibleError(RuntimeError):
-    """Raised by control_step when no iterate satisfies the constraints."""
 
 
 class SolverStatus(Enum):
@@ -306,29 +294,21 @@ def _travel_term(x1, x2, lane, K_travel):
     return -(K_travel / math.sqrt(1.0 + a * a)) * (x1 + a * x2)
 
 
-def _check_corridor(lane, x1):
-    if abs(lane.inflated_left.y_at(x1) - lane.inflated_right.y_at(x1)) < _MIN_WIDTH:
-        raise DegenerateCorridor(f"borders meet at x1={x1:.3f}")
-
-
-def _check_heading(x3, x4):
-    if abs(x3 * x3 - x4 * x4) <= EPS_TAN:
-        raise NearPerpendicular("heading too close to +-90 deg for slope cost")
-
-
 def lane_cost(state: QuatPose, lane: LaneModel) -> float:
     """Centering paraboloid: 0 on the corridor midline, 1 on either border.
 
     Border heights are the margin-inflated lines evaluated at the state's
-    forward coordinate.
+    forward coordinate; a width under 1e-9 m counts as 1e-9 m.
     """
-    _check_corridor(lane, state.x1)
     return _lane_term(state.x1, state.x2, lane)
 
 
 def align_cost(state: QuatPose, lane: LaneModel) -> float:
-    """Squared slope mismatch between the rover heading and the middle line."""
-    _check_heading(state.x3, state.x4)
+    """Squared slope mismatch between the rover heading and the middle line.
+
+    A slope denominator x3^2 - x4^2 within EPS_TAN of 0 counts as EPS_TAN
+    with its sign.
+    """
     return _align_term(state.x3, state.x4, lane.a_avg)
 
 
@@ -337,22 +317,9 @@ def meyer_cost(state: QuatPose, lane: LaneModel, K_travel: float) -> float:
     return _travel_term(state.x1, state.x2, lane, K_travel)
 
 
-def obstacle_constraint(state: QuatPose, obstacle, R_safe: float) -> float:
-    """Clearance constraint value; feasible iff <= 0."""
-    try:
-        ox, oy = obstacle.x, obstacle.y
-    except AttributeError:
-        ox, oy = float(obstacle[0]), float(obstacle[1])
-    dx = state.x1 - ox
-    dy = state.x2 - oy
-    return R_safe * R_safe - dx * dx - dy * dy
-
-
 def stage_cost(state: QuatPose, u: ControlInput, u_prev: ControlInput,
                lane: LaneModel, cfg: NmpcConfig) -> float:
     """Running cost: weighted centering + alignment + input-change penalty."""
-    _check_corridor(lane, state.x1)
-    _check_heading(state.x3, state.x4)
     return _add_stage(0.0, state.x1, state.x2, state.x3, state.x4,
                       u.v, u.omega, u_prev.v, u_prev.omega, lane, cfg)
 
@@ -391,23 +358,6 @@ def _travel_partials(lane, K_travel):
     a = lane.a_avg
     scale = -K_travel / math.sqrt(1.0 + a * a)
     return scale, scale * a
-
-
-def stage_cost_gradients(state: QuatPose, u: ControlInput, u_prev: ControlInput,
-                         lane: LaneModel, cfg: NmpcConfig
-                         ) -> tuple[np.ndarray, np.ndarray]:
-    """Analytic partials of stage_cost w.r.t. the raw state and the input."""
-    _check_corridor(lane, state.x1)
-    _check_heading(state.x3, state.x4)
-    p = _stage_partials(state.x1, state.x2, state.x3, state.x4,
-                        u.v, u.omega, u_prev.v, u_prev.omega, lane, cfg)
-    return np.array(p[:4]), np.array(p[4:])
-
-
-def meyer_cost_gradient(state: QuatPose, lane: LaneModel, K_travel: float
-                        ) -> np.ndarray:
-    """Analytic partials of meyer_cost w.r.t. the raw state."""
-    return np.array([*_travel_partials(lane, K_travel), 0.0, 0.0])
 
 
 class _Candidate(NamedTuple):
@@ -571,16 +521,17 @@ class NmpcController:
         return self._warm
 
     def control_step(self, state: QuatPose, lane: LaneModel,
-                     obstacles) -> ControlInput:
+                     obstacles) -> ControlSequence:
+        """Solve from the warm start and return the plan. An INFEASIBLE
+        plan clears the warm start; any other becomes the next one, and
+        its first input the applied one."""
         seq = solve(state, lane, obstacles, self._u_prev, self.cfg,
                     warm_start=self._warm)
         if seq.status is SolverStatus.INFEASIBLE:
             self._warm = None
-            raise InfeasibleError(
-                f"no feasible sequence (violation {seq.max_constraint_violation:.2e} m^2)")
-        self._warm = seq
-        self._u_prev = seq.inputs[0]
-        return seq.inputs[0]
+        else:
+            self._warm, self._u_prev = seq, seq.inputs[0]
+        return seq
 
     def notify_applied(self, u: ControlInput) -> None:
         """Record the command actually sent when another mode overrode us."""

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .core import ControlInput, Point2, QuatPose, heading_of, pose_from, wrap_angle
-from .nmpc import InfeasibleError, NmpcController, SolverStatus
+from .nmpc import NmpcController, SolverStatus
 from .pipeline import PerceptionResult, PerceptionStatus
 
 
@@ -96,22 +96,22 @@ class Detection:
     standoff: float = 0.5
 
 
-def fallback_control(heading_error: float, cfg: FallbackConfig,
-                     omega_max: float) -> ControlInput:
-    """Rotate against the heading error; linear speed is the configured crawl."""
-    omega = max(-omega_max, min(omega_max, -cfg.K_p * heading_error))
-    return ControlInput(cfg.v_during_realign, omega)
+def fallback_control(heading_error: float, cfg: FallbackConfig) -> ControlInput:
+    """Rotate against the heading error; linear speed is the configured crawl.
+
+    Unsaturated: MissionSupervisor.tick clips every command to the box.
+    """
+    return ControlInput(cfg.v_during_realign, -cfg.K_p * heading_error)
 
 
 def target_approach_control(state: QuatPose, target: Point2, standoff: float,
-                            v_max: float, omega_max: float,
                             k_rho: float = 0.8, k_alpha: float = 1.5
                             ) -> ControlInput | None:
     """Drive toward a point, stopping standoff meters short.
 
     Returns None once within the standoff distance (plus the completion
     band). When the target sits more than 90 deg off the nose the rover
-    turns in place first.
+    turns in place first. Unsaturated, like fallback_control.
     """
     dx = target.x - state.x1
     dy = target.y - state.x2
@@ -119,12 +119,8 @@ def target_approach_control(state: QuatPose, target: Point2, standoff: float,
     if rho <= standoff + APPROACH_DONE_TOL:
         return None
     bearing = wrap_angle(math.atan2(dy, dx) - heading_of(state))
-    omega = max(-omega_max, min(omega_max, k_alpha * bearing))
-    if abs(bearing) > math.pi / 2:
-        v = 0.0
-    else:
-        v = max(0.0, min(v_max, k_rho * (rho - standoff)))
-    return ControlInput(v, omega)
+    v = 0.0 if abs(bearing) > math.pi / 2 else k_rho * (rho - standoff)
+    return ControlInput(v, k_alpha * bearing)
 
 
 class MissionSupervisor:
@@ -240,7 +236,6 @@ class MissionSupervisor:
         """Update the mode; return the raw command, solver status and note."""
         st = self.state
         fb = self.fallback_cfg
-        omega_max = self.nmpc.cfg.omega_max
         stop = ControlInput(0.0, 0.0)
         note = ""
 
@@ -258,7 +253,7 @@ class MissionSupervisor:
                 return self._search_command(perception), None, "searching for the row"
             err = wrap_angle(heading - st.row_heading_world)
             if abs(err) > fb.align_tol:
-                return fallback_control(err, fb, omega_max), None, "realigning"
+                return fallback_control(err, fb), None, "realigning"
             st.mode = Mode.TRAVERSE
             note = "realigned"
 
@@ -269,8 +264,7 @@ class MissionSupervisor:
             approach = None  # sighting lost or consumed: resume the row
             if detection is not None:
                 approach = target_approach_control(
-                    pose_from(0.0, 0.0, 0.0), detection.target, detection.standoff,
-                    self.nmpc.cfg.v_max, omega_max)
+                    pose_from(0.0, 0.0, 0.0), detection.target, detection.standoff)
             if approach is None:
                 st.mode = Mode.TRAVERSE
                 return stop, None, "target reached, resuming row"
@@ -279,17 +273,22 @@ class MissionSupervisor:
         # Traverse proper.
         if perception.ok:
             try:
-                cmd = self.nmpc.control_step(pose_from(0.0, 0.0, 0.0),
+                seq = self.nmpc.control_step(pose_from(0.0, 0.0, 0.0),
                                              perception.lane, perception.obstacles)
-                return cmd, self.nmpc.last_sequence.status, note
             except Exception as exc:
-                # tick stays total: any solver fault stops the rover and
+                # tick stays total: a solver fault stops the rover and
                 # realigns, and the next OK lane solves from a cold start.
                 st.mode = Mode.FALLBACK_REALIGN
                 self.nmpc.reset()
-                return stop, SolverStatus.INFEASIBLE, (
-                    f"solver infeasible: {exc}" if isinstance(exc, InfeasibleError)
-                    else f"solver error: {type(exc).__name__}: {exc}")
+                return (stop, SolverStatus.INFEASIBLE,
+                        f"solver error: {type(exc).__name__}: {exc}")
+            if seq.status is SolverStatus.INFEASIBLE:
+                # control_step has dropped the warm start; stop and realign.
+                st.mode = Mode.FALLBACK_REALIGN
+                return stop, seq.status, (
+                    "solver infeasible: no feasible sequence "
+                    f"(violation {seq.max_constraint_violation:.2e} m^2)")
+            return seq.inputs[0], seq.status, note
         if perception.status is not PerceptionStatus.INVALID_LANE:
             # Empty view below the debounce threshold: hold still this tick.
             return stop, None, "empty view, waiting"
@@ -298,7 +297,7 @@ class MissionSupervisor:
             return (self._search_command(perception), None,
                     f"lane rejected, searching ({perception.reason})")
         err = wrap_angle(heading - st.row_heading_world)
-        realign = fallback_control(err, fb, omega_max)
+        realign = fallback_control(err, fb)
         if abs(err) > fb.align_tol:
             st.mode = Mode.FALLBACK_REALIGN
             return realign, None, f"lane rejected: {perception.reason}"

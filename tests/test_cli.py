@@ -292,3 +292,38 @@ def test_sweep_rows_count_ticks_from_the_run(fast_config, tmp_path, capsys):
         assert [row[k] for k in ("ticks", "realign_ticks", "invalid_lane_ticks")] == want
         assert line.split()[-3:] == [str(c) for c in want]
     assert rows[1]["realign_ticks"] > 0 and rows[1]["invalid_lane_ticks"] > 0
+
+
+def test_sweep_seed_with_a_world_seed_grid_is_a_config_error(fast_config, tmp_path,
+                                                             capsys, monkeypatch):
+    """--seed would run one world under every world.seed label of the grid,
+    so the pair is a config error before any cell runs."""
+    runs = []
+    monkeypatch.setattr("rownav.cli.execute_scenario", runs.append)
+    grid = tmp_path / "grid.yaml"
+    grid.write_text(yaml.safe_dump({"world.seed": [1, 2]}))
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", fast_config, "--grid", str(grid),
+                 "--seed", "5", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "config error: --seed would override the grid's world.seed" in captured.err
+    assert captured.out == "" and runs == [] and not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_out_naming_a_file_exit_two(fast_config, tmp_path, capsys, monkeypatch,
+                                    command):
+    """An --out that names an existing file is an error (exit 2) found
+    before any scenario runs, and the file is left as it was."""
+    runs = []
+    monkeypatch.setattr("rownav.cli.execute_scenario", runs.append)
+    taken = tmp_path / "taken"
+    taken.write_text("keep")
+    grid = tmp_path / "grid.yaml"
+    grid.write_text(yaml.safe_dump({"nmpc.K_lane": [0.5, 1.0]}))
+    argv = [command, "--config", fast_config, "--out", str(taken)]
+    argv += ["--grid", str(grid)] if command == "sweep" else []
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: --out {taken}: ")
+    assert captured.out == "" and runs == [] and taken.read_text() == "keep"

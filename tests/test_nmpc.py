@@ -11,11 +11,10 @@ from rownav import nmpc
 from rownav.cli import resolve_config_path
 from rownav.config import load_scenario
 from rownav.core import BorderLine, ControlInput, QuatPose, heading_of, pose_from
-from rownav.nmpc import (DegenerateCorridor, NearPerpendicular,
-                         NmpcConfig, NmpcController, SolverStatus, align_cost,
-                         dynamics, integrate_step, lane_cost, meyer_cost,
-                         meyer_cost_gradient, obstacle_constraint, solve,
-                         stage_cost, stage_cost_gradients)
+from rownav.nmpc import (EPS_TAN, NmpcConfig, NmpcController, SolverStatus,
+                         _stage_partials, _travel_partials, align_cost,
+                         dynamics, integrate_step, lane_cost, meyer_cost, solve,
+                         stage_cost)
 from rownav.pipeline import LaneModel
 from rownav.sim import generate_world, run_scenario
 
@@ -137,10 +136,11 @@ def test_lane_cost_uses_inflated_lines():
     assert lane_cost(pose_from(0, 0.45, 0), inflated) == pytest.approx(1.0)
 
 
-def test_lane_cost_degenerate_raises():
+def test_lane_cost_floors_degenerate_corridor():
+    """Borders that meet count as a corridor 1e-9 m wide, as in solve."""
     degenerate = lane(b_l=0.0, b_r=0.0)
-    with pytest.raises(DegenerateCorridor):
-        lane_cost(pose_from(0, 0, 0), degenerate)
+    assert lane_cost(pose_from(0, 0, 0), degenerate) == 0.0
+    assert lane_cost(pose_from(0, 1e-3, 0), degenerate) == pytest.approx(4e12)
 
 
 def test_align_cost_zero_when_aligned():
@@ -158,9 +158,14 @@ def test_align_cost_tan_identity():
     assert align_cost(pose, tilted) == pytest.approx(0.0, abs=1e-9)
 
 
-def test_align_cost_near_perpendicular_raises():
-    with pytest.raises(NearPerpendicular):
-        align_cost(pose_from(0, 0, math.pi / 2), lane())
+def test_align_cost_floors_near_perpendicular():
+    """Within EPS_TAN of +-90 deg the slope denominator counts as +-EPS_TAN,
+    as in solve: the slope is at most 1 / EPS_TAN = 1000."""
+    for theta in (math.pi / 2, -math.pi / 2, math.pi / 2 - 0.5 * EPS_TAN):
+        assert align_cost(pose_from(0, 0, theta), lane()) == pytest.approx(1e6)
+    outside = math.pi / 2 - 2.0 * EPS_TAN
+    assert align_cost(pose_from(0, 0, outside), lane()) == pytest.approx(
+        math.tan(outside) ** 2)
 
 
 def test_meyer_pure_forward():
@@ -174,13 +179,6 @@ def test_meyer_lateral_earns_nothing():
 def test_meyer_diagonal_projection():
     diag = lane(a_l=1.0, b_l=1.0, a_r=1.0, b_r=-1.0)
     assert meyer_cost(pose_from(1, 1, 0), diag, 1.0) == pytest.approx(-math.sqrt(2))
-
-
-def test_obstacle_constraint_values():
-    pose = pose_from(0, 0, 0)
-    assert obstacle_constraint(pose, (0.3, 0.0), 0.3) == pytest.approx(0.0)
-    assert obstacle_constraint(pose, (1.0, 0.0), 0.3) == pytest.approx(-0.91)
-    assert obstacle_constraint(pose, (0.1, 0.0), 0.3) == pytest.approx(0.08)
 
 
 def test_stage_cost_zero_at_nominal():
@@ -218,6 +216,8 @@ def fd_gradients(f, x, h=1e-6):
 
 
 def test_stage_cost_gradients_match_central_differences():
+    """_stage_partials, which the adjoint adds per step, against central
+    differences of stage_cost."""
     rng = np.random.default_rng(2)
     cfg = NmpcConfig()
     u_prev = ControlInput(0.1, -0.05)
@@ -226,7 +226,9 @@ def test_stage_cost_gradients_match_central_differences():
         theta = rng.uniform(-1.0, 1.0)
         pose = pose_from(rng.uniform(-1, 3), rng.uniform(-0.5, 0.5), theta)
         u = ControlInput(rng.uniform(-0.4, 0.4), rng.uniform(-0.5, 0.5))
-        g_state, g_u = stage_cost_gradients(pose, u, u_prev, ln, cfg)
+        p = _stage_partials(pose.x1, pose.x2, pose.x3, pose.x4, u.v, u.omega,
+                            u_prev.v, u_prev.omega, ln, cfg)
+        g_state, g_u = p[:4], p[4:]
 
         def f_state(x):
             return stage_cost(QuatPose(*x), u, u_prev, ln, cfg)
@@ -244,13 +246,15 @@ def test_stage_cost_gradients_match_central_differences():
 
 
 def test_meyer_gradient_matches_central_differences():
+    """_travel_partials, where the adjoint starts, against central
+    differences of meyer_cost; the travel term does not read the heading."""
     rng = np.random.default_rng(3)
     for _ in range(100):
         ln = random_lane(rng)
         pose = pose_from(rng.uniform(-1, 3), rng.uniform(-1, 1),
                          rng.uniform(-1, 1))
         K = rng.uniform(0.5, 2.0)
-        g = meyer_cost_gradient(pose, ln, K)
+        g = [*_travel_partials(ln, K), 0.0, 0.0]
 
         def f(x):
             return meyer_cost(QuatPose(*x), ln, K)
@@ -262,6 +266,12 @@ def test_meyer_gradient_matches_central_differences():
 # ---------------------------------------------------------------- solve
 
 CFG = NmpcConfig()
+
+
+def clearance(state, obstacle):
+    """R_safe^2 minus the squared distance: positive inside R_safe."""
+    dx, dy = state.x1 - obstacle[0], state.x2 - obstacle[1]
+    return CFG.R_safe * CFG.R_safe - dx * dx - dy * dy
 
 
 def test_solve_centered_goes_full_speed():
@@ -305,7 +315,7 @@ def test_solve_backs_off_from_inside_r_safe():
     assert seq.status is SolverStatus.MAX_ITER
     assert seq.max_constraint_violation == 0.0
     assert seq.inputs == (ControlInput(-CFG.v_max, 0.0),) * CFG.horizon_n
-    assert all(obstacle_constraint(st, post, CFG.R_safe) < 0.0
+    assert all(clearance(st, post) < 0.0
                for st in seq.predicted_states[1:])
 
 
@@ -344,7 +354,7 @@ def test_post_just_off_the_axis_is_passed(offset):
     seq = solve(pose_from(0, 0, 0), WIDE, [post], ControlInput(CFG.v_max, 0), CFG)
     assert seq.status is SolverStatus.CONVERGED
     assert seq.max_constraint_violation <= CFG.solver_tol
-    assert all(obstacle_constraint(st, post, CFG.R_safe) <= CFG.solver_tol
+    assert all(clearance(st, post) <= CFG.solver_tol
                for st in seq.predicted_states[1:])
     assert all(u.omega * offset < 0.0 for u in seq.inputs)
     assert seq.predicted_states[-1].x1 > post[0]
@@ -417,7 +427,7 @@ def test_solver_beats_zero_control_baseline():
         state, worst = pose, 0.0
         for u in reverse:
             state = integrate_step(state, u, CFG.dt)
-            worst = max([worst] + [obstacle_constraint(state, ob, CFG.R_safe)
+            worst = max([worst] + [clearance(state, ob)
                                    for ob in obstacles])
         if worst <= CFG.solver_tol:
             r_cost = _objective(reverse, pose, ln, u_prev, CFG)
@@ -460,7 +470,7 @@ def test_solve_reported_cost_matches_reconstruction():
 
 
 def test_solve_violation_is_worst_obstacle_constraint():
-    """The solver's reported violation is obstacle_constraint's worst value
+    """The solver's reported violation is the worst clearance value
     over the predicted states after the first and every obstacle, the
     obstacles beyond the horizon's reach included."""
     rng = np.random.default_rng(12)
@@ -478,7 +488,7 @@ def test_solve_violation_is_worst_obstacle_constraint():
     violated = 0
     for pose, ln, obstacles, u_prev in instances:
         seq = solve(pose, ln, obstacles, u_prev, CFG)
-        worst = max(obstacle_constraint(st, ob, CFG.R_safe)
+        worst = max(clearance(st, ob)
                     for st in seq.predicted_states[1:] for ob in obstacles)
         assert seq.max_constraint_violation == pytest.approx(
             max(0.0, worst), rel=1e-12, abs=0.0)
@@ -819,7 +829,7 @@ def test_solve_inputs_inside_box_property(case):
 @given(box_instances)
 def test_solve_never_worse_than_feasible_stop_property(case):
     pose, ln, obstacles, u_prev = _box_instance(case)
-    assume(all(obstacle_constraint(pose, ob, CFG.R_safe) <= CFG.solver_tol
+    assume(all(clearance(pose, ob) <= CFG.solver_tol
                for ob in obstacles))
     seq = solve(pose, ln, obstacles, u_prev, CFG)
     zero = [ControlInput(0.0, 0.0)] * CFG.horizon_n
@@ -827,14 +837,57 @@ def test_solve_never_worse_than_feasible_stop_property(case):
     assert seq.cost <= _objective(zero, pose, ln, u_prev, CFG) + 1e-9
 
 
+plan_instances = box_instances.map(lambda case: case[:-1] + (case[-1][:2],))
+
+
+def _rollout(inputs, pose):
+    states = [pose]
+    for u in inputs:
+        states.append(integrate_step(states[-1], u, CFG.dt))
+    return states
+
+
+@settings(max_examples=25)
+@given(plan_instances)
+def test_solve_plan_properties(case):
+    """Over drawn lanes, poses, previous inputs and 0-2 obstacle points, the
+    plan solve returns: lies in the input box exactly; costs no more than
+    the zero plan or constant reverse where that baseline clears every
+    point within solver_tol; chains through integrate_step; and reports as
+    its violation max(0, R_safe^2 - d^2) over its predicted states after
+    the first and every point."""
+    pose, ln, obstacles, u_prev = _box_instance(case)
+    seq = solve(pose, ln, obstacles, u_prev, CFG)
+    for u in seq.inputs:
+        assert -CFG.v_max <= u.v <= CFG.v_max
+        assert -CFG.omega_max <= u.omega <= CFG.omega_max
+
+    for plan in ([ControlInput(0.0, 0.0)] * CFG.horizon_n,
+                 [ControlInput(-CFG.v_max, 0.0)] * CFG.horizon_n):
+        if all(clearance(state, ob) <= CFG.solver_tol
+               for state in _rollout(plan, pose)[1:] for ob in obstacles):
+            assert seq.cost <= _objective(plan, pose, ln, u_prev, CFG) + 1e-9
+
+    assert seq.predicted_states[0] == pose
+    for state, nxt in zip(_rollout(seq.inputs, pose)[1:], seq.predicted_states[1:]):
+        for got, want in ((state.x1, nxt.x1), (state.x2, nxt.x2),
+                          (state.x3, nxt.x3), (state.x4, nxt.x4)):
+            assert abs(got - want) <= 1e-9
+
+    worst = max([0.0] + [clearance(state, ob) for state in seq.predicted_states[1:]
+                         for ob in obstacles])
+    assert abs(seq.max_constraint_violation - worst) <= 1e-12
+
+
 # ---------------------------------------------------------------- controller
 
 def test_control_step_matches_solve_first_input():
     ln = lane(margin=0.3)
     ctrl = NmpcController(NmpcConfig())
-    cmd = ctrl.control_step(pose_from(0, 0, 0), ln, [])
-    seq = solve(pose_from(0, 0, 0), ln, [], ControlInput(0, 0), NmpcConfig())
-    assert cmd == seq.inputs[0]
+    seq = ctrl.control_step(pose_from(0, 0, 0), ln, [])
+    assert seq == solve(pose_from(0, 0, 0), ln, [], ControlInput(0, 0), NmpcConfig())
+    assert ctrl.last_sequence is seq
+    assert ctrl._u_prev == seq.inputs[0]
 
 
 def test_control_step_deterministic_across_instances():
@@ -851,13 +904,14 @@ def test_control_step_deterministic_across_instances():
 
 
 def test_control_step_infeasible_clears_warm_start():
-    from rownav.nmpc import InfeasibleError
+    """An INFEASIBLE plan is returned, not raised, and leaves no warm start."""
     ln = lane(b_l=1.25, b_r=-1.25, margin=0.3)
     ctrl = NmpcController(NmpcConfig())
     ctrl.control_step(pose_from(0, 0, 0), ln, [])
     assert ctrl.last_sequence is not None
     ring = [(0.25 * math.cos(a), 0.25 * math.sin(a))
             for a in np.linspace(0, 2 * math.pi, 16, endpoint=False)]
-    with pytest.raises(InfeasibleError):
-        ctrl.control_step(pose_from(0, 0, 0), ln, ring)
+    seq = ctrl.control_step(pose_from(0, 0, 0), ln, ring)
+    assert seq.status is SolverStatus.INFEASIBLE
+    assert seq.max_constraint_violation > CFG.solver_tol
     assert ctrl.last_sequence is None

@@ -33,40 +33,52 @@ def make_supervisor(**fallback_kwargs):
 # ---------------------------------------------------------------- fallback law
 
 def test_fallback_zero_error_goes_straight():
-    cmd = fallback_control(0.0, FallbackConfig(), 0.5)
+    cmd = fallback_control(0.0, FallbackConfig())
     assert cmd == ControlInput(0.0, 0.0)
 
 
 def test_fallback_saturates_at_omega_max():
-    cmd = fallback_control(0.5, FallbackConfig(K_p=1.0), 0.5)
-    assert cmd.omega == pytest.approx(-0.5)
+    """fallback_control is the bare law; tick saturates the spin it asks
+    for on both realignment exits."""
+    assert fallback_control(1.0, FallbackConfig(K_p=1.0)).omega == -1.0
+    sup = make_supervisor(K_p=1.0)
+    for _ in range(2):  # two agreeing lanes establish the row direction
+        sup.tick(pose_from(0, 0, 0), ok_lane())
+    for note in ("lane rejected: test", "realigning"):
+        cmd, info = sup.tick(pose_from(0, 0, 1.0), invalid())
+        assert info.note == note
+        assert cmd == ControlInput(0.0, -sup.nmpc.cfg.omega_max)
 
 
 def test_fallback_sign_symmetry():
-    cmd = fallback_control(-0.2, FallbackConfig(K_p=1.0), 0.5)
+    cmd = fallback_control(-0.2, FallbackConfig(K_p=1.0))
     assert cmd.omega == pytest.approx(0.2)
 
 
 # ---------------------------------------------------------------- approach law
 
 def test_approach_done_at_standoff():
-    out = target_approach_control(pose_from(0, 0, 0), Point2(0.5, 0.0), 0.5,
-                                  0.4, 0.5)
+    out = target_approach_control(pose_from(0, 0, 0), Point2(0.5, 0.0), 0.5)
     assert out is None
 
 
 def test_approach_straight_ahead():
-    out = target_approach_control(pose_from(0, 0, 0), Point2(2.0, 0.0), 0.5,
-                                  0.4, 0.5)
+    out = target_approach_control(pose_from(0, 0, 0), Point2(2.0, 0.0), 0.5)
     assert out.omega == pytest.approx(0.0)
     assert out.v > 0.0
 
 
 def test_approach_behind_turns_in_place():
-    out = target_approach_control(pose_from(0, 0, 0), Point2(-2.0, 1e-6), 0.5,
-                                  0.4, 0.5)
+    """A target behind gives a spin in place toward it, which tick
+    saturates to omega_max."""
+    target = Point2(-2.0, 1e-6)
+    out = target_approach_control(pose_from(0, 0, 0), target, 0.5)
     assert out.v == 0.0
-    assert abs(out.omega) == pytest.approx(0.5)
+    assert out.omega == pytest.approx(1.5 * math.pi)
+    sup = make_supervisor()
+    cmd, info = sup.tick(pose_from(0, 0, 0), ok_lane(), Detection(target, 0.5))
+    assert info.mode is Mode.TARGET_APPROACH
+    assert cmd == ControlInput(0.0, sup.nmpc.cfg.omega_max)
 
 
 # ---------------------------------------------------------------- transitions
@@ -246,8 +258,8 @@ def test_replay_reproduces_mode_sequence():
 
 
 def test_solver_error_takes_infeasible_path(monkeypatch):
-    """An exception out of the solver other than InfeasibleError stops the
-    rover and realigns, with its text in the note; tick does not raise."""
+    """An exception out of the solver stops the rover and realigns, with
+    its text in the note; tick does not raise."""
     sup = make_supervisor()
     sup.tick(pose_from(0, 0, 0), ok_lane())
     assert sup.nmpc.last_sequence is not None
@@ -262,3 +274,25 @@ def test_solver_error_takes_infeasible_path(monkeypatch):
     assert info.solver_status is SolverStatus.INFEASIBLE
     assert info.note == "solver error: ValueError: x0 violates bound constraints"
     assert sup.nmpc.last_sequence is None     # no warm start from before the fault
+
+
+def test_infeasible_plan_stops_and_realigns():
+    """A ring of obstacle points 0.25 m around the rover, inside R_safe, leaves
+    no feasible plan: the tick stops, realigns, reports INFEASIBLE with the
+    violation in its note, and drops the warm start. After a CONVERGED tick
+    the controller's last sequence starts with the command applied."""
+    sup = make_supervisor()
+    cmd, info = sup.tick(pose_from(0, 0, 0), ok_lane())
+    assert info.solver_status is SolverStatus.CONVERGED
+    assert sup.nmpc.last_sequence.inputs[0] == cmd
+    ring = np.array([(0.25 * math.cos(a), 0.25 * math.sin(a))
+                     for a in np.linspace(0, 2 * math.pi, 16, endpoint=False)])
+    surrounded = PerceptionResult(PerceptionStatus.OK, lane=ok_lane().lane,
+                                  obstacles=ring)
+    cmd, info = sup.tick(pose_from(0, 0, 0), surrounded)
+    assert cmd == ControlInput(0.0, 0.0)
+    assert info.mode is Mode.FALLBACK_REALIGN
+    assert info.solver_status is SolverStatus.INFEASIBLE
+    assert info.note == ("solver infeasible: no feasible sequence "
+                         "(violation 2.75e-02 m^2)")
+    assert sup.nmpc.last_sequence is None
