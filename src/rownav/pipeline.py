@@ -196,28 +196,51 @@ def voxel_downsample(cloud, r_v: float) -> np.ndarray:
     (floor(x/r_v), floor(y/r_v), floor(z/r_v)), and each centroid sums its
     voxel's points in input order before dividing by their count.
 
-    Each voxel gets one int64 key, built from the dense rank of its index
-    on every axis, so the key stays below n_x * n_y * n_z, the product of
-    the distinct indices per axis. That product must stay below 2**63,
-    which holds for any cloud of fewer than 2**21 (~2.1 million) points;
-    a larger cloud whose product overflows raises ValueError.
+    Each voxel gets one int64 key, ordered as its index, and a single 1-D
+    sort of the keys groups the points. The key is the index shifted by
+    its minimum on every axis, in mixed radix over the index ranges
+    n_x, n_y, n_z of the cloud. When n_x * n_y * n_z reaches 2**63, as a
+    cloud tens of kilometres across does at a centimetre voxel, or a
+    coordinate is not finite, the key falls back to the dense rank of the
+    index on every axis, which stays below the product of the distinct
+    indices per axis. Only on that path does the size of the cloud bound
+    the key: the product holds below 2**63 for any cloud of fewer than
+    2**21 (~2.1 million) points, and a larger cloud whose product
+    overflows raises ValueError.
     """
     pts = _as_cloud(cloud)
     if len(pts) == 0:
         return pts
-    idx = np.floor(pts / r_v).astype(np.int64)
-    key = np.zeros(len(pts), dtype=np.int64)
-    n_keys = 1
-    for c in range(3):
-        levels, rank = np.unique(idx[:, c], return_inverse=True)
-        key = key * len(levels) + rank
-        n_keys *= len(levels)
-    if n_keys >= 2 ** 63:
-        raise ValueError(f"voxel key space {n_keys} overflows int64")
+    idx = [np.floor(pts[:, c] / r_v) for c in range(3)]
+    lows, highs = [q.min() for q in idx], [q.max() for q in idx]
+    if np.isfinite(lows + highs).all():
+        spans = [int(hi) - int(lo) + 1 for lo, hi in zip(lows, highs)]
+    else:
+        spans = [math.inf]
+    if math.prod(spans) < 2 ** 63:
+        key = np.zeros(len(pts), dtype=np.int64)
+        for q, lo, span in zip(idx, lows, spans):
+            key *= span
+            key += q.astype(np.int64) - int(lo)
+    else:
+        key = _rank_key(idx)
     _, inverse, counts = np.unique(key, return_inverse=True, return_counts=True)
     sums = np.column_stack([np.bincount(inverse, weights=pts[:, c])
                             for c in range(3)])
     return sums / counts[:, None]
+
+
+def _rank_key(idx: list[np.ndarray]) -> np.ndarray:
+    """Voxel key from the dense rank of the index on every axis."""
+    key = np.zeros(len(idx[0]), dtype=np.int64)
+    n_keys = 1
+    for q in idx:
+        levels, rank = np.unique(q.astype(np.int64), return_inverse=True)
+        key = key * len(levels) + rank
+        n_keys *= len(levels)
+    if n_keys >= 2 ** 63:
+        raise ValueError(f"voxel key space {n_keys} overflows int64")
+    return key
 
 
 def knn_outlier_filter(cloud, k: int, std_ratio: float) -> np.ndarray:

@@ -23,6 +23,7 @@ from .supervisor import (APPROACH_DONE_TOL, Detection, FallbackConfig,
                          MissionSupervisor, Mode)
 
 HIT_RADIUS = 0.025   # m; the renderer sees each world point as a disk of this radius
+SPLAT_MAX = 4        # rays; a disk splats onto at most this many rays each side of its centre
 
 
 @dataclass
@@ -255,42 +256,65 @@ def render_cloud(world: World, pose: QuatPose, cam: CameraSpec,
     i0 = np.round((az - az_lo) / d_az - 0.5).astype(int)
     j0 = np.round((el - el_lo) / d_el - 0.5).astype(int)
     delta = np.arcsin(HIT_RADIUS / rho)       # rho > 0.05 > HIT_RADIUS
-    si = np.minimum(np.ceil(delta / d_az).astype(int), 4)
-    sj = np.minimum(np.ceil(delta / d_el).astype(int), 4)
+    si = np.minimum(np.ceil(delta / d_az).astype(int), SPLAT_MAX)
+    sj = np.minimum(np.ceil(delta / d_el).astype(int), SPLAT_MAX)
+
+    # Keep the points whose disk reaches the lattice. Their centres then
+    # lie within SPLAT_MAX rays of it, and their splats within 2 * SPLAT_MAX,
+    # so they all land in a z-buffer with that margin on every side and no
+    # splat needs a bounds check. A 360-degree sweep reaches every azimuth.
+    wrap = cam.h_fov == 2.0 * math.pi
+    reach = (j0 + sj >= 0) & (j0 - sj < n_el)
+    if wrap:
+        i0 %= n_az
+    else:
+        reach &= (i0 + si >= 0) & (i0 - si < n_az)
+    margin = 2 * SPLAT_MAX
+    n_col = n_el + 2 * margin
+    base = (i0[reach] + margin) * n_col + (j0[reach] + margin)
+    rho, si, sj = rho[reach], si[reach], sj[reach]
+
+    # z-buffer over ray ids: each point splats its range onto the rays
+    # within its disk, and each ray keeps the minimum, whatever the order
+    # of the writes.
+    buf = np.full((n_az + 2 * margin) * n_col, np.inf)
+    max_si, max_sj = int(si.max(initial=0)), int(sj.max(initial=0))
+    within_i = [si >= d for d in range(max_si + 1)]
+    within_j = [sj >= d for d in range(max_sj + 1)]
+    for di in range(-max_si, max_si + 1):
+        for dj in range(-max_sj, max_sj + 1):
+            mask = within_i[abs(di)] & within_j[abs(dj)]
+            np.minimum.at(buf, base[mask] + (di * n_col + dj), rho[mask])
+    buf = buf.reshape(-1, n_col)[:, margin:margin + n_el]
+    if wrap:
+        # The sweep folds its azimuth margin back onto the lattice, as many
+        # times round as it takes when rays_h is below the margin.
+        img = np.full((n_az, n_el), np.inf)
+        np.minimum.at(img, (np.arange(len(buf)) - margin) % n_az, buf)
+    else:
+        img = buf[margin:margin + n_az]
 
     az_centers = az_lo + (np.arange(n_az) + 0.5) * d_az
     el_centers = el_lo + (np.arange(n_el) + 0.5) * d_el
     sin_el = np.sin(el_centers)
     with np.errstate(divide="ignore"):
         ground = np.where(sin_el < 0.0, mount / -sin_el, np.inf)
+    img = np.minimum(img, ground)
 
-    # z-buffer over ray ids i * n_el + j, seeded with the ground's ranges:
-    # each point splats its range onto the rays within its disk, and each
-    # ray keeps the minimum, whatever the order of the writes.
-    img = np.tile(ground, n_az)
-    wrap = cam.h_fov == 2.0 * math.pi
-    max_si, max_sj = int(si.max(initial=0)), int(sj.max(initial=0))
-    for di in range(-max_si, max_si + 1):
-        for dj in range(-max_sj, max_sj + 1):
-            mask = (abs(di) <= si) & (abs(dj) <= sj)
-            ii = i0[mask] + di
-            jj = j0[mask] + dj
-            if wrap:
-                ii %= n_az
-            ok = (ii >= 0) & (ii < n_az) & (jj >= 0) & (jj < n_el)
-            np.minimum.at(img, ii[ok] * n_el + jj[ok], rho[mask][ok])
-
-    hit = img <= cam.max_range
-    ray_i, ray_j = np.divmod(np.nonzero(hit)[0], n_el)
-    ranges = img[hit]
+    # Back-project each hit through per-ray trig tables, which hold the
+    # values that trig on the gathered angles would give.
+    rays = np.flatnonzero(img <= cam.max_range)
+    ray_i, ray_j = np.divmod(rays, n_el)
+    ranges = img.ravel()[rays]
     if world.spec.noise_sigma > 0.0 and rng is not None:
         ranges = ranges + rng.normal(0.0, world.spec.noise_sigma, size=len(ranges))
-    a = az_centers[ray_i]
-    e = el_centers[ray_j]
-    cos_e = np.cos(e)
-    return np.column_stack([ranges * cos_e * np.cos(a),
-                            ranges * cos_e * np.sin(a),
-                            mount + ranges * np.sin(e)])
+    out = np.empty((len(ranges), 3))
+    range_xy = ranges * np.cos(el_centers)[ray_j]
+    np.multiply(range_xy, np.cos(az_centers)[ray_i], out=out[:, 0])
+    np.multiply(range_xy, np.sin(az_centers)[ray_i], out=out[:, 1])
+    np.multiply(ranges, sin_el[ray_j], out=out[:, 2])
+    out[:, 2] += mount
+    return out
 
 
 def step_rover(pose: QuatPose, u: ControlInput, dt: float) -> QuatPose:

@@ -113,10 +113,30 @@ def voxel_clouds(draw):
 @example((np.array([[-1e7, 0.0, 1e7], [1e7, -1e7, 0.0],
                     [0.0, 1e7, -1e7]]), 0.01))
 @example((np.random.default_rng(1).uniform(-0.05, 0.05, (40, 3)), 0.05))
+@example((np.array([[0.0, 0.0, 0.0], [2.0 ** 21 - 2] * 3]), 1.0))   # shifted key
+@example((np.array([[0.0, 0.0, 0.0], [2.0 ** 21 - 1] * 3]), 1.0))   # ranks
+@example((np.array([[0.0, 0.0, 0.0], [np.inf, 0.0, 0.0], [np.inf, 0.0, 0.0]]), 0.05))
 def test_voxel_matches_row_sort_reference(case):
     cloud, r_v = case
     assert np.array_equal(voxel_downsample(cloud, r_v),
                           reference_voxel_downsample(cloud, r_v))
+
+
+@pytest.mark.parametrize("corner, ranked", [(2 ** 21 - 2, False), (2 ** 21 - 1, True)])
+def test_voxel_key_ranks_only_when_the_shifted_key_overflows(monkeypatch, corner, ranked):
+    """Index ranges of (2**21 - 1)**3 < 2**63 take the shifted key, and
+    ranges of 2**21 per axis, whose product is 2**63, the per-axis ranks."""
+    calls = []
+    rank_key = pipeline._rank_key
+
+    def counted_rank_key(idx):
+        calls.append(idx)
+        return rank_key(idx)
+
+    monkeypatch.setattr(pipeline, "_rank_key", counted_rank_key)
+    cloud = np.array([[0.0, 0.0, 0.0], [float(corner)] * 3])
+    np.testing.assert_array_equal(voxel_downsample(cloud, 1.0), cloud)
+    assert bool(calls) == ranked
 
 
 # ---------------------------------------------------------------- knn filter

@@ -320,6 +320,57 @@ def test_render_matches_sorted_zbuffer_on_small_clouds(points, near, dups, sweep
                                   pose_from(x, y, theta), cam, seed)
 
 
+
+def ray_points(cam, rays, ranges):
+    """Points seen from pose (0, 0, 0) at continuous ray indices (ci, cj):
+    ci = 0 is the centre of the first azimuth ray, cj = 0 of the first
+    elevation ray, and -1 or rays_h lie one ray beyond the lattice."""
+    ci, cj = np.asarray(rays, dtype=float).T
+    a = -cam.h_fov / 2.0 + (ci + 0.5) * cam.h_fov / cam.rays_h
+    e = -cam.v_fov / 2.0 + (cj + 0.5) * cam.v_fov / cam.rays_v
+    rho = np.asarray(ranges, dtype=float)
+    return np.column_stack([rho * np.cos(e) * np.cos(a), rho * np.cos(e) * np.sin(a),
+                            cam.mount_height + rho * np.sin(e)])
+
+
+def _margin_cases():
+    """(name, cam, points) where the z-buffer margin decides a ray."""
+    # Rows of disks beyond each edge, each disk 4 rays wide both ways and
+    # nearer the further out it sits, so the outermost one that reaches
+    # the edge ray is the one that ray sees.
+    outside = np.arange(1, 2 * sim.SPLAT_MAX + 2)
+    ranges = 0.1 - 0.005 * outside
+    edge = CameraSpec(max_range=2.5, rays_h=48, rays_v=12)
+    n_az, n_el = edge.rays_h, edge.rays_v
+    rays = [(-k, 6) for k in outside] + [(n_az - 1 + k, 4) for k in outside]
+    rays += [(20, -k) for k in outside] + [(30, n_el - 1 + k) for k in outside]
+    rays += [(-k, -k) for k in outside] + [(n_az - 1 + k, n_el - 1 + k) for k in outside]
+    yield "edges_87deg", edge, ray_points(edge, rays, np.tile(ranges, 6))
+    near = [0.06, 0.08, 0.12, 0.2]      # disks 4, 3, 2 and 1 rays wide on 48 rays
+    sweep = CameraSpec(h_fov=2.0 * math.pi, max_range=2.5, rays_h=48, rays_v=12)
+    seam = [-0.4, 0.3, 1.5, 3.4, 44.6, 46.5, 47.4, 47.6]
+    rays = [(ci, 6) for ci in seam for _ in near]
+    yield "seam_360deg", sweep, ray_points(sweep, rays, near * len(seam))
+    rng = np.random.default_rng(9)
+    for n_az in (2, 3):
+        wide = CameraSpec(h_fov=2.0 * math.pi, max_range=2.5, rays_h=n_az, rays_v=12)
+        rays = np.column_stack([rng.uniform(-0.5, n_az - 0.5, 60), rng.uniform(-3, 14, 60)])
+        yield f"rays_h_{n_az}_360deg", wide, ray_points(wide, rays, rng.uniform(0.051, 0.4, 60))
+
+
+@pytest.mark.parametrize("cam, points", [pytest.param(cam, points, id=name)
+                                         for name, cam, points in _margin_cases()])
+def test_render_matches_sorted_zbuffer_where_the_margin_decides(cam, points):
+    """Disks centred off the lattice whose splats reach its edge rays, disks
+    that straddle the +-pi seam, and 360-degree lattices narrower than the
+    z-buffer margin, where one splat wraps onto a ray more than once."""
+    pose = pose_from(0, 0, 0)
+    assert_renders_like_reference(cloud_world(points), pose, cam, 11)
+    # The off-lattice disks do reach it: the frame differs from open ground.
+    assert not np.array_equal(render_cloud(cloud_world(points, 0.0), pose, cam),
+                              render_cloud(cloud_world([], 0.0), pose, cam))
+
+
 # ---------------------------------------------------------------- stepping
 
 def test_step_rover_straight():
