@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import yaml
 
 from .nmpc import NmpcConfig
-from .pipeline import LANE_MODES, PipelineConfig
+from .pipeline import PipelineConfig
 from .sim import CameraSpec, TargetSpec, WorldSpec
 from .supervisor import FallbackConfig
 
@@ -159,14 +159,16 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
     if not isinstance(data, dict):
         raise ConfigError(["top level: expected a mapping"])
     data = dict(data)
-    lane_mode = data.pop("lane_mode", None)
     errors: list[str] = []
+    if "lane_mode" in data:
+        # Top-level shorthand for pipeline.lane_mode, checked as that field;
+        # a pipeline value neither a mapping nor None is _build's error.
+        lane_mode, pipeline = data.pop("lane_mode"), data.get("pipeline")
+        if isinstance(pipeline, dict) and "lane_mode" in pipeline:
+            errors.append("lane_mode: given both here and as pipeline.lane_mode")
+        elif pipeline is None or isinstance(pipeline, dict):
+            data["pipeline"] = {**(pipeline or {}), "lane_mode": lane_mode}
     cfg = _build(ScenarioConfig, data, "", errors)
-    if lane_mode is not None:
-        if lane_mode not in LANE_MODES:
-            errors.append(f"lane_mode: must be one of {LANE_MODES}")
-        else:
-            cfg.pipeline.lane_mode = lane_mode
     if errors:
         raise ConfigError(errors)
     return cfg

@@ -3,7 +3,9 @@
 All statistics compare the logged poses and commands against the
 analytic centerline of the world, so no localization estimate enters the
 evaluation. Heading and path errors are restricted to the measured span
-[0, row_length] of arc length; clearance time uses the full log.
+[0, row_length] of arc length; clearance time uses the full log. Each
+statistic takes the records' projections onto the centerline when the
+caller has them, as compute_report does, and projects them otherwise.
 """
 
 from __future__ import annotations
@@ -43,30 +45,27 @@ class MetricsReport:
         return "\n".join(f"{key} = {value}" for key, value in self.as_dict().items())
 
 
-def clearance_time(log: RunLog, centerline: Centerline, row_length: float) -> float:
+def _project(records: list[TickRecord], centerline: Centerline
+             ) -> list[tuple[float, float]]:
+    """(arc coordinate, signed lateral offset) of each record's position."""
+    return [centerline.project(rec.pose.x1, rec.pose.x2) for rec in records]
+
+
+def clearance_time(log: RunLog, centerline: Centerline, row_length: float,
+                   projected: list[tuple[float, float]] | None = None) -> float:
     """Time from the first tick until the arc coordinate first exceeds
     row_length."""
     if not log.records:
         raise NotCompleted("empty log")
-    t0 = log.records[0].t
-    for rec in log.records:
-        s, _ = centerline.project(rec.pose.x1, rec.pose.x2)
+    projected = _project(log.records, centerline) if projected is None else projected
+    for rec, (s, _) in zip(log.records, projected):
         if s > row_length:
-            return rec.t - t0
+            return rec.t - log.records[0].t
     raise NotCompleted(f"rover never passed s = {row_length} m")
 
 
-def _in_span(records: list[TickRecord], centerline: Centerline,
-             row_length: float) -> list[TickRecord]:
-    kept = []
-    for rec in records:
-        s, _ = centerline.project(rec.pose.x1, rec.pose.x2)
-        if 0.0 <= s <= row_length:
-            kept.append(rec)
-    return kept if kept else list(records)
-
-
-def velocity_and_heading_stats(records: list[TickRecord], centerline: Centerline
+def velocity_and_heading_stats(records: list[TickRecord], centerline: Centerline,
+                               projected: list[tuple[float, float]] | None = None
                                ) -> tuple[float, float, float, float]:
     """(v_avg, signed mean heading error, heading error std, omega std).
 
@@ -76,34 +75,38 @@ def velocity_and_heading_stats(records: list[TickRecord], centerline: Centerline
     """
     if len(records) < 2:
         raise ValueError("need at least 2 ticks")
+    projected = _project(records, centerline) if projected is None else projected
     v = np.array([rec.command.v for rec in records])
     w = np.array([rec.command.omega for rec in records])
-    gamma = []
-    for rec in records:
-        s, _ = centerline.project(rec.pose.x1, rec.pose.x2)
-        gamma.append(wrap_angle(heading_of(rec.pose) - centerline.tangent_angle(s)))
-    gamma = np.array(gamma)
+    gamma = np.array([wrap_angle(heading_of(rec.pose) - centerline.tangent_angle(s))
+                      for rec, (s, _) in zip(records, projected)])
     return (float(v.mean()), float(gamma.mean()), float(gamma.std()),
             float(w.std()))
 
 
 def path_errors(records: list[TickRecord], centerline: Centerline,
-                desired_offset: float = 0.0) -> tuple[float, float]:
+                desired_offset: float = 0.0,
+                projected: list[tuple[float, float]] | None = None
+                ) -> tuple[float, float]:
     """(MAE, MSE) of the signed lateral offset against the desired one."""
-    err = []
-    for rec in records:
-        _, lateral = centerline.project(rec.pose.x1, rec.pose.x2)
-        err.append(lateral - desired_offset)
-    err = np.array(err)
+    projected = _project(records, centerline) if projected is None else projected
+    err = np.array([lateral - desired_offset for _, lateral in projected])
     return float(np.abs(err).mean()), float((err ** 2).mean())
 
 
 def compute_report(log: RunLog, centerline: Centerline, row_length: float,
                    desired_offset: float = 0.0) -> MetricsReport:
-    cleared = clearance_time(log, centerline, row_length)
-    window = _in_span(log.records, centerline, row_length)
-    v_avg, g_avg, g_std, w_std = velocity_and_heading_stats(window, centerline)
-    mae, mse = path_errors(window, centerline, desired_offset)
+    """Every statistic from one projection of each record. Heading and path
+    errors cover the records within [0, row_length] of arc length, or all
+    of them when none is."""
+    projected = _project(log.records, centerline)
+    cleared = clearance_time(log, centerline, row_length, projected)
+    span = [(rec, p) for rec, p in zip(log.records, projected)
+            if 0.0 <= p[0] <= row_length] or list(zip(log.records, projected))
+    window, window_projected = [rec for rec, _ in span], [p for _, p in span]
+    v_avg, g_avg, g_std, w_std = velocity_and_heading_stats(
+        window, centerline, window_projected)
+    mae, mse = path_errors(window, centerline, desired_offset, window_projected)
     # mean |e| <= sqrt(mean e^2) holds exactly; the slack is relative because
     # both sides round to the magnitude of the errors.
     rms = math.sqrt(mse)

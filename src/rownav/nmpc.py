@@ -124,6 +124,12 @@ _MIN_WIDTH = 1e-9
 _REACH_SLACK = 1.1
 _REACH_MARGIN = 1e-6
 
+# Exterior penalty schedule: up to PENALTY_ROUNDS L-BFGS-B runs, the weight
+# starting at PENALTY_INIT and multiplied by PENALTY_GROWTH after each.
+PENALTY_ROUNDS = 8
+PENALTY_INIT = 10.0
+PENALTY_GROWTH = 10.0
+
 
 class SolverStatus(Enum):
     CONVERGED = "converged"
@@ -143,10 +149,7 @@ class NmpcConfig:
     r_weight_v: float = 0.1           # (m/s)^-2
     r_weight_omega: float = 1.0       # (rad/s)^-2
     R_safe: float = 0.3               # obstacle clearance radius, m
-    solver_max_iter: int = 8          # outer penalty rounds
     solver_tol: float = 1e-3          # max allowed constraint violation, m^2
-    penalty_init: float = 10.0
-    penalty_growth: float = 10.0
 
     def validate(self, path: str = "nmpc") -> list[str]:
         errs = []
@@ -161,10 +164,6 @@ class NmpcConfig:
                 errs.append(f"{path}.{name}: must be >= 0")
         if not self.solver_tol > 0:
             errs.append(f"{path}.solver_tol: must be > 0")
-        if self.solver_max_iter < 1:
-            errs.append(f"{path}.solver_max_iter: must be >= 1")
-        if self.penalty_init <= 0 or self.penalty_growth <= 1:
-            errs.append(f"{path}.penalty_init/penalty_growth: need init > 0, growth > 1")
         return errs
 
 
@@ -474,8 +473,8 @@ def solve(state: QuatPose, lane: LaneModel, obstacles, u_prev: ControlInput,
     # Penalty rounds from the one start: each round restarts L-BFGS-B from
     # the last result with a heavier clearance weight.
     iterations = 0
-    u_cur, mu = u_init, cfg.penalty_init
-    for _ in range(cfg.solver_max_iter):
+    u_cur, mu = u_init, PENALTY_INIT
+    for _ in range(PENALTY_ROUNDS):
         res = minimize(penalized, u_cur, args=(mu,), method="L-BFGS-B",
                        jac=True, bounds=bounds,
                        options={"maxiter": 200, "ftol": 1e-12, "gtol": 1e-8})
@@ -484,7 +483,7 @@ def solve(state: QuatPose, lane: LaneModel, obstacles, u_prev: ControlInput,
         if optimized.worst <= cfg.solver_tol:
             break
         u_cur = optimized.u
-        mu *= cfg.penalty_growth
+        mu *= PENALTY_GROWTH
 
     candidates = [optimized, evaluate(np.zeros(2 * n))]
     if warm:

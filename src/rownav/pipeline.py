@@ -25,9 +25,21 @@ from .core import BorderLine
 
 LANE_MODES = ("full", "right_half", "left_half")
 
+# Occupancy grid extent, m: forward from the sensor, and lateral, centred on it.
+GRID_EXTENT_X = 6.0
+GRID_EXTENT_Y = 8.0
+
 # Angular bins used by the occlusion fill. One bin spans ~0.18 deg, below
-# the angle a grid cell subtends anywhere inside the default grid extent.
+# the angle a grid cell subtends anywhere inside the grid extent.
 SHADOW_ANGLE_BINS = 2048
+
+# Border evidence: samples under BORDER_INLIER_FRAC of their side's median
+# |y| are obstacles, a side whose samples span under MIN_BORDER_SPAN (m)
+# forward gets no fit, and borders whose directions differ by more than
+# MAX_BORDER_DIVERGENCE (rad) are no row.
+BORDER_INLIER_FRAC = 0.5
+MIN_BORDER_SPAN = 0.3
+MAX_BORDER_DIVERGENCE = 0.35
 
 
 class InsufficientSamples(ValueError):
@@ -49,17 +61,10 @@ class PipelineConfig:
     knn_k: int = 10
     knn_std_ratio: float = 1.0
     grid_cell: float = 0.05           # occupancy cell size, m
-    grid_extent_x: float = 6.0        # forward extent, m
-    grid_extent_y: float = 8.0        # lateral extent (centered), m
     safety_margin_R: float = 0.3      # border inflation distance, m
     max_perp_angle: float = math.radians(70.0)
     lane_mode: str = "full"
     max_obstacle_points: int = 30     # cap on points handed to the controller
-    min_border_span: float = 0.3      # least x-extent of samples worth fitting, m
-    max_border_divergence: float = 0.35  # rad between border directions
-    border_inlier_frac: float = 0.5   # samples under this fraction of the
-                                      # side's median |y| are obstacles, not
-                                      # border evidence (0 disables)
 
     def validate(self, path: str = "pipeline") -> list[str]:
         errs = []
@@ -73,8 +78,6 @@ class PipelineConfig:
             errs.append(f"{path}.knn_k: must be >= 1")
         if not self.grid_cell > 0:
             errs.append(f"{path}.grid_cell: must be > 0")
-        if not self.grid_extent_x > 0 or not self.grid_extent_y > 0:
-            errs.append(f"{path}.grid_extent_x/grid_extent_y: must be > 0")
         if self.safety_margin_R < 0:
             errs.append(f"{path}.safety_margin_R: must be >= 0")
         if not 0.0 < self.max_perp_angle < math.pi / 2:
@@ -83,12 +86,6 @@ class PipelineConfig:
             errs.append(f"{path}.lane_mode: must be one of {LANE_MODES}")
         if self.max_obstacle_points < 1:
             errs.append(f"{path}.max_obstacle_points: must be >= 1")
-        if self.min_border_span < 0:
-            errs.append(f"{path}.min_border_span: must be >= 0")
-        if not 0.0 < self.max_border_divergence < math.pi / 2:
-            errs.append(f"{path}.max_border_divergence: must be in (0, pi/2)")
-        if not 0.0 <= self.border_inlier_frac < 1.0:
-            errs.append(f"{path}.border_inlier_frac: must be in [0, 1)")
         return errs
 
 
@@ -200,23 +197,24 @@ def voxel_downsample(cloud, r_v: float) -> np.ndarray:
     sort of the keys groups the points. The key is the index shifted by
     its minimum on every axis, in mixed radix over the index ranges
     n_x, n_y, n_z of the cloud. When n_x * n_y * n_z reaches 2**63, as a
-    cloud tens of kilometres across does at a centimetre voxel, or a
-    coordinate is not finite, the key falls back to the dense rank of the
-    index on every axis, which stays below the product of the distinct
-    indices per axis. Only on that path does the size of the cloud bound
-    the key: the product holds below 2**63 for any cloud of fewer than
-    2**21 (~2.1 million) points, and a larger cloud whose product
-    overflows raises ValueError.
+    cloud tens of kilometres across does at a centimetre voxel, the key
+    falls back to the dense rank of the index on every axis, which stays
+    below the product of the distinct indices per axis. Only on that path
+    does the size of the cloud bound the key: the product holds below
+    2**63 for any cloud of fewer than 2**21 (~2.1 million) points, and a
+    larger cloud whose product overflows raises ValueError. So does a
+    voxel index outside int64, from a NaN or infinite coordinate
+    (`process` drops those points first) or one of 2**63 voxels or more.
     """
     pts = _as_cloud(cloud)
     if len(pts) == 0:
         return pts
     idx = [np.floor(pts[:, c] / r_v) for c in range(3)]
     lows, highs = [q.min() for q in idx], [q.max() for q in idx]
-    if np.isfinite(lows + highs).all():
-        spans = [int(hi) - int(lo) + 1 for lo, hi in zip(lows, highs)]
-    else:
-        spans = [math.inf]
+    if not all(-2.0 ** 63 <= q < 2.0 ** 63 for q in lows + highs):
+        raise ValueError(f"voxel index outside int64: a coordinate is NaN, "
+                         f"infinite or too large for r_v = {r_v}")
+    spans = [int(hi) - int(lo) + 1 for lo, hi in zip(lows, highs)]
     if math.prod(spans) < 2 ** 63:
         key = np.zeros(len(pts), dtype=np.int64)
         for q, lo, span in zip(idx, lows, spans):
@@ -286,10 +284,10 @@ def fov_empty_check(n_remaining: int, n_original: int, f_points: float) -> bool:
 def project_to_grid(cloud, cfg: PipelineConfig) -> OccupancyGrid:
     """Flatten points onto the x-y occupancy grid; out-of-extent points drop."""
     cell = cfg.grid_cell
-    nx = int(round(cfg.grid_extent_x / cell))
-    ny = int(round(cfg.grid_extent_y / cell))
+    nx = int(round(GRID_EXTENT_X / cell))
+    ny = int(round(GRID_EXTENT_Y / cell))
     x_min = 0.0
-    y_min = -0.5 * cfg.grid_extent_y
+    y_min = -0.5 * GRID_EXTENT_Y
     occupied = np.zeros((nx, ny), dtype=bool)
     pts = _as_cloud(cloud)
     if len(pts) > 0:
@@ -400,7 +398,7 @@ def lane_from_borders(left: BorderLine, right: BorderLine,
     perpendicular.
     """
     divergence = abs(math.atan(left.a) - math.atan(right.a))
-    if divergence > cfg.max_border_divergence:
+    if divergence > MAX_BORDER_DIVERGENCE:
         return f"borders diverge by {divergence:.2f} rad"
     if not left.b > 0.0 > right.b:
         return "sensor origin outside the fitted corridor"
@@ -501,13 +499,12 @@ def _perceive(pts: np.ndarray, cfg: PipelineConfig) -> PerceptionResult:
         # would drag the fitted border into the corridor: samples sitting
         # far inside the side's median lateral distance are obstacle
         # evidence, not border evidence.
-        if len(samples) and cfg.border_inlier_frac > 0.0:
+        if len(samples):
             med = np.median(np.abs(samples[:, 1]))
-            samples = samples[np.abs(samples[:, 1])
-                              >= cfg.border_inlier_frac * med]
+            samples = samples[np.abs(samples[:, 1]) >= BORDER_INLIER_FRAC * med]
         # A sliver of columns produces wildly extrapolated fits; demand a
         # minimum forward extent of evidence before trusting a side.
-        if len(samples) and np.ptp(samples[:, 0]) < cfg.min_border_span:
+        if len(samples) and np.ptp(samples[:, 0]) < MIN_BORDER_SPAN:
             continue
         try:
             borders[side] = fit_border_line(samples, side)

@@ -40,32 +40,30 @@ class Mode(Enum):
 # hitting the standoff distance exactly would take unbounded time.
 APPROACH_DONE_TOL = 0.05
 
+# The remembered row direction (rad): the rover is aligned with it within
+# ALIGN_TOL, a lane implying one more than MAX_ROW_HEADING_JUMP away is
+# rejected, and it drifts at most MAX_ROW_HEADING_RATE per tick.
+ALIGN_TOL = 0.08
+MAX_ROW_HEADING_JUMP = 0.2
+MAX_ROW_HEADING_RATE = 0.03
+
 
 @dataclass
 class FallbackConfig:
     K_p: float = 1.0                  # 1/s
-    align_tol: float = 0.08           # rad
     v_during_realign: float = 0.0     # m/s
     creep_v: float = 0.15             # m/s while aligned but lane rejected
     search_omega: float = 0.2         # rad/s spin while no row was ever seen
-    max_row_heading_jump: float = 0.2  # rad; larger per-tick jumps are rejected
-    max_row_heading_rate: float = 0.03  # rad/tick drift cap on the reference
     n_empty_for_end: int = 3          # consecutive empty views before stop
 
     def validate(self, path: str = "fallback") -> list[str]:
         errs = []
         if not self.K_p > 0:
             errs.append(f"{path}.K_p: must be > 0")
-        if not 0.0 < self.align_tol < math.pi / 2:
-            errs.append(f"{path}.align_tol: must be in (0, pi/2) radians")
         if self.creep_v < 0:
             errs.append(f"{path}.creep_v: must be >= 0")
         if not self.search_omega > 0:
             errs.append(f"{path}.search_omega: must be > 0")
-        if not self.max_row_heading_jump > 0:
-            errs.append(f"{path}.max_row_heading_jump: must be > 0")
-        if not self.max_row_heading_rate > 0:
-            errs.append(f"{path}.max_row_heading_rate: must be > 0")
         if self.n_empty_for_end < 1:
             errs.append(f"{path}.n_empty_for_end: must be >= 1")
         return errs
@@ -144,7 +142,7 @@ class MissionSupervisor:
         """Track the world-frame row direction implied by accepted lanes.
 
         proposed is None on a tick without an accepted lane. The reference
-        moves at most max_row_heading_rate per tick: the real row direction
+        moves at most MAX_ROW_HEADING_RATE per tick: the real row direction
         changes slowly, and an uncapped reference can ratchet away on a run
         of slightly biased fits, taking the recovery behaviors with it.
         Establishing it takes two consecutive accepted lanes that agree on
@@ -156,12 +154,11 @@ class MissionSupervisor:
         current = self.state.row_heading_world
         if current is not None:
             delta = wrap_angle(proposed - current)
-            rate = self.fallback_cfg.max_row_heading_rate
-            delta = max(-rate, min(rate, delta))
+            delta = max(-MAX_ROW_HEADING_RATE, min(MAX_ROW_HEADING_RATE, delta))
             self.state.row_heading_world = wrap_angle(current + delta)
         elif (self.state.pending_row_heading is not None
               and abs(wrap_angle(proposed - self.state.pending_row_heading))
-              <= self.fallback_cfg.max_row_heading_jump):
+              <= MAX_ROW_HEADING_JUMP):
             self.state.row_heading_world = proposed
             self.state.pending_row_heading = None
         else:
@@ -208,7 +205,7 @@ class MissionSupervisor:
         # row that actually turned. Treat it as a rejected lane.
         if implied is not None and st.row_heading_world is not None:
             jump = abs(wrap_angle(implied - st.row_heading_world))
-            if jump > self.fallback_cfg.max_row_heading_jump:
+            if jump > MAX_ROW_HEADING_JUMP:
                 perception = PerceptionResult(
                     PerceptionStatus.INVALID_LANE,
                     obstacles=perception.obstacles,
@@ -252,7 +249,7 @@ class MissionSupervisor:
                 # No row direction confirmed yet, not even by this tick's lane.
                 return self._search_command(perception), None, "searching for the row"
             err = wrap_angle(heading - st.row_heading_world)
-            if abs(err) > fb.align_tol:
+            if abs(err) > ALIGN_TOL:
                 return fallback_control(err, fb), None, "realigning"
             st.mode = Mode.TRAVERSE
             note = "realigned"
@@ -298,7 +295,7 @@ class MissionSupervisor:
                     f"lane rejected, searching ({perception.reason})")
         err = wrap_angle(heading - st.row_heading_world)
         realign = fallback_control(err, fb)
-        if abs(err) > fb.align_tol:
+        if abs(err) > ALIGN_TOL:
             st.mode = Mode.FALLBACK_REALIGN
             return realign, None, f"lane rejected: {perception.reason}"
         # Already aligned with the remembered row direction: creep ahead so

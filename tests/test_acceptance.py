@@ -5,8 +5,11 @@ to see them. Scenario runs come from the bundled configs, so this module
 also exercises the exact setups shipped with the package.
 """
 
+import importlib.util
 import math
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +24,19 @@ from rownav.pipeline import (LaneModel, PipelineConfig, PerceptionStatus,
                              shadow_fill)
 from rownav.sim import Mode, generate_world
 from rownav.supervisor import Mode as SupMode
+
+
+def _bench_log_digest():
+    """bench/loop.py's log_digest, the hash the benchmark compares passes by."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_loop", Path(__file__).resolve().parents[1] / "bench" / "loop.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module.log_digest
+
+
+log_digest = _bench_log_digest()
 
 
 def run_bundled(name):
@@ -55,6 +71,30 @@ def obstacle():
 @pytest.fixture(scope="module")
 def misaligned():
     return run_bundled("sim_misaligned")
+
+
+@pytest.fixture(scope="module")
+def target():
+    return run_bundled("sim_target")
+
+
+# log_digest of each bundled run: every pose, command, mode, status and
+# note, bit for bit. Measured with numpy 2.4.6 and scipy 1.17.1; another
+# numpy or scipy may move the last bits of a plan, and so every later tick.
+RUN_DIGESTS = {
+    "straight": "2c8cd0ffc664547d61e42f0ee5b9daa977a17d3b7565fadcda9520de3f054193",
+    "curved": "53ff25da9eb0bbf74da87199f1746737d5bde00dff369a7d498bf4cc55e07518",
+    "half_lane": "208ec91414135ca66aa417003f12a98e095b7b7b0552a4760b2c4ac769f0162f",
+    "obstacle": "4aefe9066ccaf48496a6570f2edfbc6e3a86524b3943fe21b0b14cb7b405fb1e",
+    "misaligned": "1b8ae5f7c5819a15acfd30bcb410e073910e9e0525e01ac227499932c41a336e",
+    "target": "eb1b2eefd1fe7c096b12d88065a3f2fd4165283dec0c9a7ea489df9b84478253",
+}
+
+
+@pytest.mark.parametrize("run", list(RUN_DIGESTS))
+def test_bundled_run_keeps_its_bytes(run, request):
+    _, _, log, _, _ = request.getfixturevalue(run)
+    assert log_digest(log) == RUN_DIGESTS[run]
 
 
 def test_criterion_01_straight_row(straight):

@@ -40,14 +40,43 @@ def test_degrees_rejected_by_range_check():
 
 def test_top_level_lane_mode_forwarded():
     cfg = scenario_from_dict({"lane_mode": "right_half",
-                              "world": {"intra_row_space": 4.0}})
+                              "world": {"intra_row_space": 4.0},
+                              "pipeline": {"r_v": 0.1}})
     assert cfg.pipeline.lane_mode == "right_half"
+    assert cfg.pipeline.r_v == 0.1
     assert cfg.desired_offset == pytest.approx(-1.0)
 
 
 def test_bad_lane_mode():
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError) as exc:
         scenario_from_dict({"lane_mode": "middle"})
+    assert exc.value.errors[0].startswith("pipeline.lane_mode: must be one of")
+
+
+@pytest.mark.parametrize("nested", ["left_half", "right_half"])
+def test_lane_mode_given_in_both_places_is_an_error(nested):
+    with pytest.raises(ConfigError) as exc:
+        scenario_from_dict({"lane_mode": "right_half",
+                            "pipeline": {"lane_mode": nested}})
+    assert exc.value.errors == [
+        "lane_mode: given both here and as pipeline.lane_mode"]
+
+
+def test_module_constants_are_not_config_keys(tmp_path, capsys):
+    """Fixed values of the perception, solver and supervisor rules are
+    module constants: a file that sets one fails as a typo would."""
+    fixed = {"pipeline": ["grid_extent_x", "grid_extent_y", "min_border_span",
+                          "max_border_divergence", "border_inlier_frac"],
+             "nmpc": ["solver_max_iter", "penalty_init", "penalty_growth"],
+             "fallback": ["align_tol", "max_row_heading_jump", "max_row_heading_rate"]}
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(yaml.safe_dump({section: dict.fromkeys(names, 1.0)
+                                   for section, names in fixed.items()}))
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    for section, names in fixed.items():
+        for name in names:
+            assert f"config error: {section}.{name}: unknown key" in err
 
 
 def test_targets_and_obstacles_parsed():
@@ -220,7 +249,7 @@ def test_every_field_of_the_tree_round_trips():
     together, and survives scenario_to_dict -> scenario_from_dict."""
     data = _every_field(ScenarioConfig)
     leaves = list(_leaves(data))
-    assert len(leaves) > 60
+    assert len(leaves) == 52
     for keys, value in leaves:
         single = value
         for key in reversed(keys):

@@ -11,10 +11,10 @@ from rownav import nmpc
 from rownav.cli import resolve_config_path
 from rownav.config import load_scenario
 from rownav.core import BorderLine, ControlInput, QuatPose, heading_of, pose_from
-from rownav.nmpc import (EPS_TAN, NmpcConfig, NmpcController, SolverStatus,
-                         _stage_partials, _travel_partials, align_cost,
-                         dynamics, integrate_step, lane_cost, meyer_cost, solve,
-                         stage_cost)
+from rownav.nmpc import (EPS_TAN, PENALTY_GROWTH, PENALTY_ROUNDS, NmpcConfig,
+                         NmpcController, SolverStatus, _stage_partials,
+                         _travel_partials, align_cost, dynamics, integrate_step,
+                         lane_cost, meyer_cost, solve, stage_cost)
 from rownav.pipeline import LaneModel
 from rownav.sim import generate_world, run_scenario
 
@@ -342,7 +342,7 @@ def test_penalty_rounds_restart_from_the_last_result(monkeypatch):
     np.testing.assert_array_equal(starts[0], [0.5 * CFG.v_max, 0.0] * CFG.horizon_n)
     for start, previous in zip(starts[1:], results):
         np.testing.assert_array_equal(start, previous)
-    assert len(starts) == CFG.solver_max_iter
+    assert len(starts) == PENALTY_ROUNDS
 
 
 @pytest.mark.parametrize("offset", [1e-3, -1e-3])
@@ -565,7 +565,7 @@ def test_objective_runs_on_floats_bit_equal_to_float64_loop(monkeypatch):
         fun, args = _captured_objective(monkeypatch, pose, ln, obstacles, u_prev)
         for _ in range(25):
             u = rng.uniform(lo, -lo)
-            mu = args[0] * CFG.penalty_growth ** int(rng.integers(0, 8))
+            mu = args[0] * PENALTY_GROWTH ** int(rng.integers(0, 8))
             got, _ = fun(u, mu)
             assert type(got) is float
             ref = _float64_objective(u, mu, pose, ln, obstacles, u_prev, CFG)
@@ -626,7 +626,7 @@ def test_objective_gradient_bit_equal_to_approx_derivative(monkeypatch):
         for j in range(25):
             n_faces = int(rng.integers(1, 5)) if j % 2 == 0 else 0
             u = _box_point(rng, lo, n_faces, int(rng.integers(0, 3)))
-            mu = args[0] * CFG.penalty_growth ** int(rng.integers(0, 8))
+            mu = args[0] * PENALTY_GROWTH ** int(rng.integers(0, 8))
             f, g = fun(u, mu)
             ref = _float64_objective(u, mu, pose, ln, obstacles, u_prev, CFG)
             assert f.hex() == float(ref).hex()
@@ -717,7 +717,7 @@ def test_objective_bit_equal_to_all_obstacle_reference_at_reach_edges(monkeypatc
         for j in range(20):
             n_faces = int(rng.integers(2, 7)) if j % 3 else 0
             u = _box_point(rng, lo, n_faces, 0)
-            mu = args[0] * CFG.penalty_growth ** int(rng.integers(0, 8))
+            mu = args[0] * PENALTY_GROWTH ** int(rng.integers(0, 8))
             f, g = fun(u, mu)
             penalised += _matches_all_obstacle_loop(
                 f, g, u, mu, pose, ln, obstacles, u_prev, CFG)
@@ -755,7 +755,7 @@ def test_objective_gradient_matches_central_differences_property(case):
     u = np.array(frac) * np.array([CFG.v_max, CFG.omega_max] * CFG.horizon_n)
     with pytest.MonkeyPatch.context() as mp:
         fun, args = _captured_objective(mp, pose, ln, obstacles, u_prev)
-    mu = args[0] * CFG.penalty_growth ** e
+    mu = args[0] * PENALTY_GROWTH ** e
     f, g = fun(u, mu)
     ref = _float64_objective(u, mu, pose, ln, obstacles, u_prev, CFG)
     assert f.hex() == float(ref).hex()

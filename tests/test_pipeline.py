@@ -115,11 +115,20 @@ def voxel_clouds(draw):
 @example((np.random.default_rng(1).uniform(-0.05, 0.05, (40, 3)), 0.05))
 @example((np.array([[0.0, 0.0, 0.0], [2.0 ** 21 - 2] * 3]), 1.0))   # shifted key
 @example((np.array([[0.0, 0.0, 0.0], [2.0 ** 21 - 1] * 3]), 1.0))   # ranks
-@example((np.array([[0.0, 0.0, 0.0], [np.inf, 0.0, 0.0], [np.inf, 0.0, 0.0]]), 0.05))
 def test_voxel_matches_row_sort_reference(case):
     cloud, r_v = case
     assert np.array_equal(voxel_downsample(cloud, r_v),
                           reference_voxel_downsample(cloud, r_v))
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, 1e19, -1e19])
+def test_voxel_rejects_an_index_outside_int64(bad):
+    """A NaN or infinite coordinate has no voxel index, and 1e19 m at
+    r_v = 0.05 has none in int64: ValueError, not a key from an invalid
+    cast, which put 1e19 and 1.5e19 in one voxel."""
+    cloud = np.array([[0.0, 0.0, 0.0], [bad, 0.0, 0.0], [1.5 * bad, 0.0, 0.0]])
+    with pytest.raises(ValueError, match="outside int64"):
+        voxel_downsample(cloud, 0.05)
 
 
 @pytest.mark.parametrize("corner, ranked", [(2 ** 21 - 2, False), (2 ** 21 - 1, True)])
