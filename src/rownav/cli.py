@@ -232,6 +232,10 @@ def _cmd_sweep(args) -> int:
             grid = yaml.safe_load(fh) or {}
         if not isinstance(grid, dict):
             raise ConfigError([f"{args.grid}: expected a mapping of key -> list"])
+        empty = [f"{k}: empty value list, so the sweep has no cell"
+                 for k in sorted(grid) if grid[k] == []]
+        if empty:
+            raise ConfigError(empty)
         if args.seed is not None and "world.seed" in grid:
             raise ConfigError(["--seed would override the grid's world.seed; "
                                "give the seeds in one place"])

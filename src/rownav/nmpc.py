@@ -91,6 +91,19 @@ gradient in omega is exactly 0, so no L-BFGS-B run turns, and the plan
 for a post the rover cannot pass straight is the stop (MAX_ITER). 1e-9 m
 off the axis breaks the tie, and the plan bends around the post. A lane
 fitted to a noisy frame is never exactly symmetric.
+
+One call inside minimize(..., method="L-BFGS-B") wakes the thread pool
+of scipy's bundled OpenBLAS: dtrtrs with more than one right-hand side,
+the triangular solve in formk (upper, transposed, n = nrhs = corrections
+held, lda = 2m), once per L-BFGS update. Its other calls (dcopy, ddot,
+daxpy, dscal, dnrm2, dpotrf, one-right-hand-side dtrtrs) stay on the
+calling thread at these sizes. Found by interposing those symbols and
+pinning the pool to one thread around one routine at a time, with scipy
+1.17.1 (OpenBLAS 0.3.30) on a 2-vCPU host beside one busy-loop process:
+over the 97 solves of sim_obstacle world seed 6 the summed solve time
+was 3.49 s (worst 290 ms) with the default pool, 1.12 s (86 ms) with
+only that dtrtrs pinned, and 1.03 s with every routine pinned; alone,
+with the default pool, 1.16 s.
 """
 
 from __future__ import annotations

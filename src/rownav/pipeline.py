@@ -196,15 +196,11 @@ def voxel_downsample(cloud, r_v: float) -> np.ndarray:
     Each voxel gets one int64 key, ordered as its index, and a single 1-D
     sort of the keys groups the points. The key is the index shifted by
     its minimum on every axis, in mixed radix over the index ranges
-    n_x, n_y, n_z of the cloud. When n_x * n_y * n_z reaches 2**63, as a
-    cloud tens of kilometres across does at a centimetre voxel, the key
-    falls back to the dense rank of the index on every axis, which stays
-    below the product of the distinct indices per axis. Only on that path
-    does the size of the cloud bound the key: the product holds below
-    2**63 for any cloud of fewer than 2**21 (~2.1 million) points, and a
-    larger cloud whose product overflows raises ValueError. So does a
-    voxel index outside int64, from a NaN or infinite coordinate
-    (`process` drops those points first) or one of 2**63 voxels or more.
+    n_x, n_y, n_z of the cloud. A cloud whose n_x * n_y * n_z reaches
+    2**63 has no such key and raises ValueError; at r_v = 0.05 that takes
+    a cloud ~1e5 m across on every axis. So does a voxel index outside
+    int64, from a NaN or infinite coordinate (`process` drops those points
+    first) or a finite one too large for r_v.
     """
     pts = _as_cloud(cloud)
     if len(pts) == 0:
@@ -215,30 +211,18 @@ def voxel_downsample(cloud, r_v: float) -> np.ndarray:
         raise ValueError(f"voxel index outside int64: a coordinate is NaN, "
                          f"infinite or too large for r_v = {r_v}")
     spans = [int(hi) - int(lo) + 1 for lo, hi in zip(lows, highs)]
-    if math.prod(spans) < 2 ** 63:
-        key = np.zeros(len(pts), dtype=np.int64)
-        for q, lo, span in zip(idx, lows, spans):
-            key *= span
-            key += q.astype(np.int64) - int(lo)
-    else:
-        key = _rank_key(idx)
+    n_keys = math.prod(spans)
+    if n_keys >= 2 ** 63:
+        raise ValueError(f"voxel key space of {n_keys} keys lies outside int64 "
+                         f"at r_v = {r_v}")
+    key = np.zeros(len(pts), dtype=np.int64)
+    for q, lo, span in zip(idx, lows, spans):
+        key *= span
+        key += q.astype(np.int64) - int(lo)
     _, inverse, counts = np.unique(key, return_inverse=True, return_counts=True)
     sums = np.column_stack([np.bincount(inverse, weights=pts[:, c])
                             for c in range(3)])
     return sums / counts[:, None]
-
-
-def _rank_key(idx: list[np.ndarray]) -> np.ndarray:
-    """Voxel key from the dense rank of the index on every axis."""
-    key = np.zeros(len(idx[0]), dtype=np.int64)
-    n_keys = 1
-    for q in idx:
-        levels, rank = np.unique(q.astype(np.int64), return_inverse=True)
-        key = key * len(levels) + rank
-        n_keys *= len(levels)
-    if n_keys >= 2 ** 63:
-        raise ValueError(f"voxel key space {n_keys} overflows int64")
-    return key
 
 
 def knn_outlier_filter(cloud, k: int, std_ratio: float) -> np.ndarray:
@@ -268,8 +252,6 @@ def knn_outlier_filter(cloud, k: int, std_ratio: float) -> np.ndarray:
 def height_crop(cloud, z_min: float, z_max: float) -> np.ndarray:
     """Keep points with z_min <= z <= z_max, preserving order."""
     pts = _as_cloud(cloud)
-    if len(pts) == 0:
-        return pts
     keep = (pts[:, 2] >= z_min) & (pts[:, 2] <= z_max)
     return pts[keep]
 
@@ -290,11 +272,10 @@ def project_to_grid(cloud, cfg: PipelineConfig) -> OccupancyGrid:
     y_min = -0.5 * GRID_EXTENT_Y
     occupied = np.zeros((nx, ny), dtype=bool)
     pts = _as_cloud(cloud)
-    if len(pts) > 0:
-        i = np.floor((pts[:, 0] - x_min) / cell).astype(np.int64)
-        j = np.floor((pts[:, 1] - y_min) / cell).astype(np.int64)
-        ok = (i >= 0) & (i < nx) & (j >= 0) & (j < ny)
-        occupied[i[ok], j[ok]] = True
+    i = np.floor((pts[:, 0] - x_min) / cell).astype(np.int64)
+    j = np.floor((pts[:, 1] - y_min) / cell).astype(np.int64)
+    ok = (i >= 0) & (i < nx) & (j >= 0) & (j < ny)
+    occupied[i[ok], j[ok]] = True
     return OccupancyGrid(cell, x_min, y_min, occupied)
 
 
@@ -307,8 +288,6 @@ def shadow_fill(grid: OccupancyGrid) -> OccupancyGrid:
     per-bin minimum occupied range, so applying it twice changes nothing.
     """
     occ = grid.observed if grid.observed is not None else grid.occupied
-    if not occ.any():
-        return replace(grid, occupied=occ.copy(), observed=occ.copy())
     ox, oy = grid.sensor_origin
     cx = grid.x_centers() - ox
     cy = grid.y_centers() - oy
@@ -495,21 +474,20 @@ def _perceive(pts: np.ndarray, cfg: PipelineConfig) -> PerceptionResult:
 
     borders: dict[str, BorderLine] = {}
     for side, samples in (("left", left_samples), ("right", right_samples)):
+        if not len(samples):
+            continue
         # A mid-lane obstacle owns the innermost cell of its columns, which
         # would drag the fitted border into the corridor: samples sitting
         # far inside the side's median lateral distance are obstacle
         # evidence, not border evidence.
-        if len(samples):
-            med = np.median(np.abs(samples[:, 1]))
-            samples = samples[np.abs(samples[:, 1]) >= BORDER_INLIER_FRAC * med]
+        med = np.median(np.abs(samples[:, 1]))
+        samples = samples[np.abs(samples[:, 1]) >= BORDER_INLIER_FRAC * med]
         # A sliver of columns produces wildly extrapolated fits; demand a
-        # minimum forward extent of evidence before trusting a side.
-        if len(samples) and np.ptp(samples[:, 0]) < MIN_BORDER_SPAN:
+        # minimum forward extent of evidence before trusting a side. A side
+        # that spans it has two distinct x, all fit_border_line needs.
+        if np.ptp(samples[:, 0]) < MIN_BORDER_SPAN:
             continue
-        try:
-            borders[side] = fit_border_line(samples, side)
-        except InsufficientSamples:
-            pass
+        borders[side] = fit_border_line(samples, side)
     missing = [side for side in ("left", "right") if side not in borders]
     lane = (f"missing border: {', '.join(missing)}" if missing
             else lane_from_borders(borders["left"], borders["right"], cfg))

@@ -234,6 +234,20 @@ def test_sweep_empty_grid_single_baseline(fast_config, tmp_path, capsys):
     assert "baseline" in capsys.readouterr().out
 
 
+def test_sweep_empty_value_list_is_a_config_error(fast_config, tmp_path, capsys):
+    """A key with no values leaves the grid no cell: exit 2 naming the key,
+    before any cell runs or the output directory is made."""
+    grid = tmp_path / "grid.yaml"
+    grid.write_text(yaml.safe_dump({"nmpc.horizon_n": [], "nmpc.K_lane": [1.0]}))
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", fast_config, "--grid", str(grid),
+                 "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ("config error: nmpc.horizon_n: empty value list, "
+                            "so the sweep has no cell\n")
+    assert captured.out == "" and not out.exists()
+
+
 def test_sweep_bad_cell_flagged_others_run(fast_config, tmp_path, capsys):
     grid = tmp_path / "grid.yaml"
     grid.write_text(yaml.safe_dump({"pipeline.f_points": [0.2, 2.0]}))

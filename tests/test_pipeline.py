@@ -106,46 +106,50 @@ def voxel_clouds(draw):
     return np.vstack([base, base[repeats]]), r_v
 
 
+def voxel_key_space(cloud, r_v):
+    """n_x * n_y * n_z over the voxel index ranges of a non-empty cloud."""
+    idx = np.floor(np.asarray(cloud, dtype=float).reshape(-1, 3) / r_v)
+    return math.prod(int(hi) - int(lo) + 1
+                     for lo, hi in zip(idx.min(axis=0), idx.max(axis=0)))
+
+
 @given(voxel_clouds())
 @example((np.array([[0.3, -0.2, 1.0]]), 0.05))
 @example((np.array([[-0.05, 0.05, 0.0], [-0.05, 0.05, 0.0],
                     [-0.1, 0.0, 0.05]]), 0.05))
 @example((np.array([[-1e7, 0.0, 1e7], [1e7, -1e7, 0.0],
-                    [0.0, 1e7, -1e7]]), 0.01))
+                    [0.0, 1e7, -1e7]]), 0.01))                      # overflows
+@example((np.array([[0.0, 0.0, 1e7], [0.0, 0.0, -1e7]]), 0.01))      # fits
 @example((np.random.default_rng(1).uniform(-0.05, 0.05, (40, 3)), 0.05))
-@example((np.array([[0.0, 0.0, 0.0], [2.0 ** 21 - 2] * 3]), 1.0))   # shifted key
-@example((np.array([[0.0, 0.0, 0.0], [2.0 ** 21 - 1] * 3]), 1.0))   # ranks
+@example((np.array([[0.0, 0.0, 0.0], [2.0 ** 21 - 2] * 3]), 1.0))   # largest cube
 def test_voxel_matches_row_sort_reference(case):
+    """Where the index ranges give fewer than 2**63 keys, the voxels equal
+    the row-sort reference bit for bit; elsewhere the cloud is a ValueError."""
     cloud, r_v = case
-    assert np.array_equal(voxel_downsample(cloud, r_v),
-                          reference_voxel_downsample(cloud, r_v))
+    if voxel_key_space(cloud, r_v) < 2 ** 63:
+        assert np.array_equal(voxel_downsample(cloud, r_v),
+                              reference_voxel_downsample(cloud, r_v))
+    else:
+        with pytest.raises(ValueError, match="voxel key space"):
+            voxel_downsample(cloud, r_v)
 
 
-@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, 1e19, -1e19])
-def test_voxel_rejects_an_index_outside_int64(bad):
+def _line_to(bad):
+    return np.array([[0.0, 0.0, 0.0], [bad, 0.0, 0.0], [1.5 * bad, 0.0, 0.0]])
+
+
+@pytest.mark.parametrize("cloud, r_v", [
+    *(pytest.param(_line_to(bad), 0.05, id=str(bad))
+      for bad in (np.inf, -np.inf, np.nan, 1e19, -1e19)),
+    pytest.param(np.array([[0.0, 0.0, 0.0], [2.0 ** 21 - 1] * 3]), 1.0,
+                 id="key-space-2**63")])
+def test_voxel_rejects_an_index_outside_int64(cloud, r_v):
     """A NaN or infinite coordinate has no voxel index, and 1e19 m at
     r_v = 0.05 has none in int64: ValueError, not a key from an invalid
-    cast, which put 1e19 and 1.5e19 in one voxel."""
-    cloud = np.array([[0.0, 0.0, 0.0], [bad, 0.0, 0.0], [1.5 * bad, 0.0, 0.0]])
+    cast, which put 1e19 and 1.5e19 in one voxel. Index ranges of 2**21
+    per axis multiply to 2**63 keys, one past the largest int64."""
     with pytest.raises(ValueError, match="outside int64"):
-        voxel_downsample(cloud, 0.05)
-
-
-@pytest.mark.parametrize("corner, ranked", [(2 ** 21 - 2, False), (2 ** 21 - 1, True)])
-def test_voxel_key_ranks_only_when_the_shifted_key_overflows(monkeypatch, corner, ranked):
-    """Index ranges of (2**21 - 1)**3 < 2**63 take the shifted key, and
-    ranges of 2**21 per axis, whose product is 2**63, the per-axis ranks."""
-    calls = []
-    rank_key = pipeline._rank_key
-
-    def counted_rank_key(idx):
-        calls.append(idx)
-        return rank_key(idx)
-
-    monkeypatch.setattr(pipeline, "_rank_key", counted_rank_key)
-    cloud = np.array([[0.0, 0.0, 0.0], [float(corner)] * 3])
-    np.testing.assert_array_equal(voxel_downsample(cloud, 1.0), cloud)
-    assert bool(calls) == ranked
+        voxel_downsample(cloud, r_v)
 
 
 # ---------------------------------------------------------------- knn filter
@@ -706,6 +710,47 @@ def test_process_rejects_a_frame_that_is_not_n_by_3(frame):
     assert res.lane is None and res.dropped_points == 0
     assert res.reason.startswith("perception error: ValueError: ")
     assert "(N, 3)" in res.reason
+
+
+@st.composite
+def sensor_frames(draw):
+    """Frames mixing ordinary points with the rows a depth sensor returns
+    for a pixel without range (NaN or +-inf in some coordinate, or all
+    zero) and points 1e7 m out on some or every axis."""
+    coord = st.floats(-4.0, 4.0, allow_nan=False, allow_infinity=False)
+    rows = []
+    for kind in draw(st.lists(st.sampled_from(["point", "non_finite", "zero", "far"]),
+                              max_size=60)):
+        row = list(draw(st.tuples(coord, coord, coord)))
+        if kind == "non_finite":
+            row[draw(st.integers(0, 2))] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+        elif kind == "zero":
+            row = [0.0, 0.0, 0.0]
+        elif kind == "far":
+            for axis in draw(st.sets(st.integers(0, 2), min_size=1)):
+                row[axis] = draw(st.sampled_from([1e7, -1e7]))
+        rows.append(row)
+    return np.array(rows, dtype=float).reshape(-1, 3)
+
+
+@given(sensor_frames())
+@example(np.array([[1.0, 0.5, 0.5], [np.nan, 0.0, 1.0], [0.0, 0.0, 0.0],
+                   [1e7, -1e7, 1e7]]))
+@example(np.array([[1e7, 1e7, 1e7], [1e7, 1e7, 1e7], [0.0, np.inf, 0.0]]))
+@example(np.array([[1.0, 0.5, 0.5], [1.0, -0.5, 0.5], [1e7, 0.5, 0.5]]))
+def test_process_ends_every_sensor_frame_in_a_status(frame):
+    """process never raises, counts exactly the non-finite and all-zero rows
+    as dropped, and rejects a frame whose voxel keys overflow int64 with a
+    reason naming the voxel key."""
+    cfg = PipelineConfig()
+    res = process(frame, cfg)
+    valid = np.isfinite(frame).all(axis=1) & frame.any(axis=1)
+    assert res.dropped_points == len(frame) - valid.sum()
+    if valid.any() and voxel_key_space(frame[valid], cfg.r_v) >= 2 ** 63:
+        assert res.status is PerceptionStatus.INVALID_LANE
+        assert "voxel key space" in res.reason
+    else:
+        assert "perception error" not in res.reason
 
 
 def _scenario_frames(config):
