@@ -232,6 +232,10 @@ def _cmd_sweep(args) -> int:
             grid = yaml.safe_load(fh) or {}
         if not isinstance(grid, dict):
             raise ConfigError([f"{args.grid}: expected a mapping of key -> list"])
+        not_paths = [f"grid key {k!r}: expected a dotted config path such as "
+                     f"nmpc.K_lane" for k in grid if not isinstance(k, str)]
+        if not_paths:
+            raise ConfigError(not_paths)
         empty = [f"{k}: empty value list, so the sweep has no cell"
                  for k in sorted(grid) if grid[k] == []]
         if empty:

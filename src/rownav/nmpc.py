@@ -103,17 +103,26 @@ pinning the pool to one thread around one routine at a time, with scipy
 over the 97 solves of sim_obstacle world seed 6 the summed solve time
 was 3.49 s (worst 290 ms) with the default pool, 1.12 s (86 ms) with
 only that dtrtrs pinned, and 1.03 s with every routine pinned; alone,
-with the default pool, 1.16 s.
+with the default pool, 1.16 s. So solve sets that pool to one thread for
+its L-BFGS-B runs and restores the old count after them, through the
+library's own scipy_openblas_set_num_threads. A scipy without a bundled
+OpenBLAS (scipy.libs/libscipy_openblas*.so) is left as it is. A thread
+count does not change the bits: each right-hand side is solved apart.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
+import scipy
 from scipy.optimize import minimize
 
 from .core import ControlInput, QuatPose
@@ -142,6 +151,36 @@ _REACH_MARGIN = 1e-6
 PENALTY_ROUNDS = 8
 PENALTY_INIT = 10.0
 PENALTY_GROWTH = 10.0
+
+
+@functools.cache
+def _scipy_openblas():
+    """scipy's bundled OpenBLAS, or None where this scipy has none."""
+    libs = Path(scipy.__file__).resolve().parent.parent / "scipy.libs"
+    paths = sorted(libs.glob("libscipy_openblas*.so"))
+    if not paths:
+        return None
+    lib = ctypes.CDLL(str(paths[0]))
+    lib.scipy_openblas_get_num_threads.argtypes = []
+    lib.scipy_openblas_get_num_threads.restype = ctypes.c_int
+    lib.scipy_openblas_set_num_threads.argtypes = [ctypes.c_int]
+    lib.scipy_openblas_set_num_threads.restype = None
+    return lib
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block with scipy's OpenBLAS pool at one thread."""
+    lib = _scipy_openblas()
+    if lib is None:
+        yield
+        return
+    before = lib.scipy_openblas_get_num_threads()
+    lib.scipy_openblas_set_num_threads(1)
+    try:
+        yield
+    finally:
+        lib.scipy_openblas_set_num_threads(before)
 
 
 class SolverStatus(Enum):
@@ -487,16 +526,17 @@ def solve(state: QuatPose, lane: LaneModel, obstacles, u_prev: ControlInput,
     # the last result with a heavier clearance weight.
     iterations = 0
     u_cur, mu = u_init, PENALTY_INIT
-    for _ in range(PENALTY_ROUNDS):
-        res = minimize(penalized, u_cur, args=(mu,), method="L-BFGS-B",
-                       jac=True, bounds=bounds,
-                       options={"maxiter": 200, "ftol": 1e-12, "gtol": 1e-8})
-        iterations += int(res.nit)
-        optimized = evaluate(np.clip(res.x, lo, hi), bool(res.success))
-        if optimized.worst <= cfg.solver_tol:
-            break
-        u_cur = optimized.u
-        mu *= PENALTY_GROWTH
+    with _one_blas_thread():
+        for _ in range(PENALTY_ROUNDS):
+            res = minimize(penalized, u_cur, args=(mu,), method="L-BFGS-B",
+                           jac=True, bounds=bounds,
+                           options={"maxiter": 200, "ftol": 1e-12, "gtol": 1e-8})
+            iterations += int(res.nit)
+            optimized = evaluate(np.clip(res.x, lo, hi), bool(res.success))
+            if optimized.worst <= cfg.solver_tol:
+                break
+            u_cur = optimized.u
+            mu *= PENALTY_GROWTH
 
     candidates = [optimized, evaluate(np.zeros(2 * n))]
     if warm:

@@ -248,6 +248,21 @@ def test_sweep_empty_value_list_is_a_config_error(fast_config, tmp_path, capsys)
     assert captured.out == "" and not out.exists()
 
 
+def test_sweep_non_string_grid_key_is_a_config_error(fast_config, tmp_path, capsys):
+    """A YAML key that is not a string (here the integer 1) is no config path:
+    exit 2 naming it, before the keys are sorted, any cell runs or the output
+    directory is made."""
+    grid = tmp_path / "grid.yaml"
+    grid.write_text("1: [0.5]\nnmpc.K_lane: [1.0]\n")
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", fast_config, "--grid", str(grid),
+                 "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ("config error: grid key 1: expected a dotted config "
+                            "path such as nmpc.K_lane\n")
+    assert captured.out == "" and not out.exists()
+
+
 def test_sweep_bad_cell_flagged_others_run(fast_config, tmp_path, capsys):
     grid = tmp_path / "grid.yaml"
     grid.write_text(yaml.safe_dump({"pipeline.f_points": [0.2, 2.0]}))

@@ -345,6 +345,31 @@ def test_penalty_rounds_restart_from_the_last_result(monkeypatch):
     assert len(starts) == PENALTY_ROUNDS
 
 
+def test_lbfgsb_runs_on_one_openblas_thread(monkeypatch):
+    """Every L-BFGS-B run of solve sees scipy's OpenBLAS pool at one
+    thread, and solve leaves the pool at the count it found."""
+    lib = nmpc._scipy_openblas()
+    if lib is None:
+        pytest.skip("this scipy ships no OpenBLAS of its own")
+    seen = []
+    real_minimize = nmpc.minimize
+
+    def recording(*args, **kwargs):
+        seen.append(lib.scipy_openblas_get_num_threads())
+        return real_minimize(*args, **kwargs)
+
+    monkeypatch.setattr(nmpc, "minimize", recording)
+    before = lib.scipy_openblas_get_num_threads()
+    lib.scipy_openblas_set_num_threads(2)
+    try:
+        solve(pose_from(0, 0, 0), WIDE, [(1.2, 0.0)], ControlInput(CFG.v_max, 0), CFG)
+        after = lib.scipy_openblas_get_num_threads()
+    finally:
+        lib.scipy_openblas_set_num_threads(before)
+    assert seen and set(seen) == {1}
+    assert after == 2
+
+
 @pytest.mark.parametrize("offset", [1e-3, -1e-3])
 def test_post_just_off_the_axis_is_passed(offset):
     """1 mm off the axis of the symmetric lane breaks the mirror tie: the

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.spatial import cKDTree
@@ -193,6 +193,71 @@ def test_knn_uniform_lattice_unchanged():
     assert np.allclose(means, means[0])  # oracle confirms equal statistics
     out = knn_outlier_filter(cloud, k=2, std_ratio=0.0)
     assert len(out) == 36
+
+
+@settings(max_examples=40)
+@given(hnp.arrays(float, st.tuples(st.integers(2, 40), st.just(3)),
+                  elements=st.floats(-3.0, 3.0, width=32)),
+       st.integers(1, 12), st.floats(0.0, 3.0))
+def test_knn_keeps_what_the_brute_force_statistic_keeps(cloud, k, std_ratio):
+    """On small clouds, duplicates included, the filter keeps exactly the
+    points that a full distance matrix keeps under the same threshold."""
+    assume(len(cloud) > k)
+    out = knn_outlier_filter(cloud, k, std_ratio)
+    means = brute_force_knn_means(cloud, k)
+    mu = means.mean()
+    keep = means <= mu + std_ratio * means.std() + 1e-12 * max(1.0, abs(mu))
+    np.testing.assert_array_equal(out, cloud[keep])
+
+
+def _recording_tree(workers):
+    """A cKDTree whose queries append their worker count to `workers`."""
+    class Tree(cKDTree):
+        def query(self, x, *args, **kwargs):
+            workers.append(kwargs.get("workers", 1))
+            return super().query(x, *args, **kwargs)
+    return Tree
+
+
+def _filter_on_cpus(cloud, k, std_ratio, cpus):
+    """knn_outlier_filter with the affinity mask showing `cpus` CPUs, and the
+    worker count of its one tree query."""
+    workers = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pipeline.os, "sched_getaffinity",
+                   lambda pid: set(range(cpus)), raising=False)
+        mp.setattr(pipeline, "cKDTree", _recording_tree(workers))
+        out = knn_outlier_filter(cloud, k, std_ratio)
+    return out, workers
+
+
+PER_WORKER = pipeline.KNN_QUERIES_PER_WORKER
+
+
+@settings(max_examples=12)
+@given(st.integers(2 * PER_WORKER, 5 * PER_WORKER), st.integers(0, 2 ** 32 - 1),
+       st.integers(1, 12), st.floats(0.0, 3.0), st.booleans())
+def test_knn_same_bits_on_one_cpu_and_on_four(n, seed, k, std_ratio, lattice):
+    """Split across workers, the queries keep every bit of the keep mask.
+    Lattice clouds, like voxel centroids, hold many tied distances."""
+    cloud = np.random.default_rng(seed).normal(0.0, 1.0, size=(n, 3))
+    if lattice:
+        cloud = np.round(cloud / 0.05) * 0.05
+    one, one_workers = _filter_on_cpus(cloud, k, std_ratio, cpus=1)
+    four, four_workers = _filter_on_cpus(cloud, k, std_ratio, cpus=4)
+    assert one_workers == [1]
+    assert four_workers == [min(4, n // PER_WORKER)]
+    assert one.tobytes() == four.tobytes()
+
+
+@pytest.mark.parametrize("n, workers", [
+    (11, 1), (2 * PER_WORKER - 1, 1), (2 * PER_WORKER, 2), (9 * PER_WORKER, 4)])
+def test_knn_workers_get_at_least_the_per_worker_cap(n, workers):
+    """A cloud under twice the cap queries on one thread, whatever the mask;
+    above it, one worker per cap's worth of points, up to the mask's CPUs."""
+    cloud = np.random.default_rng(n).random((n, 3))
+    _, used = _filter_on_cpus(cloud, 10, 1.0, cpus=4)
+    assert used == [workers]
 
 
 # ---------------------------------------------------------------- crop / fov
