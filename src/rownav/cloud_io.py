@@ -42,7 +42,11 @@ def read_cloud(path: str) -> np.ndarray:
 
 
 def write_cloud(path: str, cloud) -> None:
-    pts = np.asarray(cloud, dtype=float).reshape(-1, 3)
+    """Save an (N, 3) cloud; format chosen by file extension. Anything
+    else, an empty cloud included, raises ValueError."""
+    pts = np.asarray(cloud, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != 3 or len(pts) == 0:
+        raise ValueError(f"cloud must be a non-empty (N, 3) array, got shape {pts.shape}")
     if _format_of(path) == "text":
         np.savetxt(path, pts, fmt="%.6f")
     else:

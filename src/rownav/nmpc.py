@@ -419,6 +419,19 @@ class _Candidate(NamedTuple):
     converged: bool       # an optimizer result whose last run reported success
 
 
+def _obstacle_list(obstacles) -> list:
+    """Obstacle points as a list of (x, y) float pairs. None or an empty
+    input is no obstacle; anything but an (M, 2) array raises ValueError."""
+    if obstacles is None:
+        return []
+    pts = np.asarray(obstacles, dtype=float)
+    if pts.size == 0:
+        return []
+    if pts.ndim != 2 or pts.shape[1] != 2:
+        raise ValueError(f"obstacles must be an (M, 2) array, got shape {pts.shape}")
+    return pts.tolist()
+
+
 def solve(state: QuatPose, lane: LaneModel, obstacles, u_prev: ControlInput,
           cfg: NmpcConfig, warm_start: ControlSequence | None = None
           ) -> ControlSequence:
@@ -428,11 +441,12 @@ def solve(state: QuatPose, lane: LaneModel, obstacles, u_prev: ControlInput,
     optimizer result, the zero plan, the shifted warm start and constant
     reverse, so its cost never exceeds a feasible baseline's; when none
     is feasible, it is the least violating one. The status describes that
-    candidate, as set out in the module docstring.
+    candidate, as set out in the module docstring. `obstacles` is None, an
+    empty input or an (M, 2) array of points; any other shape raises
+    ValueError.
     """
     n = cfg.horizon_n
-    obs = (np.asarray(obstacles, dtype=float).reshape(-1, 2).tolist()
-           if obstacles is not None else [])
+    obs = _obstacle_list(obstacles)
     r2 = cfg.R_safe * cfg.R_safe
     start = (float(state.x1), float(state.x2), float(state.x3), float(state.x4))
     v_prev, w_prev = float(u_prev.v), float(u_prev.omega)

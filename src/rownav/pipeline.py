@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import math
 import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
@@ -46,6 +48,13 @@ MAX_BORDER_DIVERGENCE = 0.35
 # centroids, two workers took 0.58 of one worker's time with 1000 queries
 # each, and 0.85 with 500: below ~1000, a thread's start eats its gain.
 KNN_QUERIES_PER_WORKER = 1000
+
+# Contiguous row chunks per query worker. Workers take the next unclaimed
+# chunk until none is left, so one slow worker (a neighbour process took
+# its CPU) holds up at most one chunk. In traced row_obstacle runs on a
+# 2-vCPU host (~5.2k centroids per frame), the kNN p50 read 7.5-8.6 ms
+# with 4, 8.7-8.8 ms with 2 and 8.0-9.7 ms with 8.
+KNN_CHUNKS_PER_WORKER = 4
 
 
 class InsufficientSamples(ValueError):
@@ -238,10 +247,16 @@ def knn_outlier_filter(cloud, k: int, std_ratio: float) -> np.ndarray:
     exceeds mean + std_ratio * std of that statistic over the whole cloud.
     Clouds with at most k points pass through unchanged.
 
-    The tree queries are split across the CPUs in this process's affinity
-    mask (so `taskset` limits the split), one worker per
-    KNN_QUERIES_PER_WORKER points at most. Each point's neighbours are found
-    on their own, so the result is the same bits for any worker count.
+    The tree queries run on the calling thread and on helper threads that
+    persist across calls: one worker per CPU in this process's affinity
+    mask (so `taskset` limits the split), and one per
+    KNN_QUERIES_PER_WORKER points at most. The rows are cut into
+    KNN_CHUNKS_PER_WORKER contiguous chunks per worker, and each worker,
+    the calling thread among them, queries the next unclaimed chunk until
+    none is left. With one worker the calling thread queries every chunk.
+    The helpers belong to the process that made them; a forked child makes
+    its own. Each point's neighbours are found on their own, so the result
+    is the same bits for any worker count and chunking.
     """
     pts = _as_cloud(cloud)
     n = len(pts)
@@ -250,7 +265,7 @@ def knn_outlier_filter(cloud, k: int, std_ratio: float) -> np.ndarray:
     # Sliding-midpoint splits build and query faster than median splits on
     # voxel centroids; the neighbour distances are exact either way.
     tree = cKDTree(pts, balanced_tree=False)
-    dists, _ = tree.query(pts, k=k + 1, workers=_query_workers(n))
+    dists = _query_in_chunks(tree, pts, k + 1)
     mean_d = dists[:, 1:].mean(axis=1)        # column 0 is the point itself
     mu = float(mean_d.mean())
     sigma = float(mean_d.std())
@@ -263,12 +278,63 @@ def knn_outlier_filter(cloud, k: int, std_ratio: float) -> np.ndarray:
 def _query_workers(n_queries: int) -> int:
     """Worker threads for n_queries tree queries: the CPUs this process may
     run on, capped at one per KNN_QUERIES_PER_WORKER queries. Not
-    workers=-1, which counts every CPU of the host, whatever the mask."""
+    os.cpu_count(), which counts every CPU of the host, whatever the mask."""
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
     else:
         cpus = os.cpu_count() or 1
     return max(1, min(cpus, n_queries // KNN_QUERIES_PER_WORKER))
+
+
+def _query_in_chunks(tree: cKDTree, pts: np.ndarray, k: int) -> np.ndarray:
+    """Distances from each row of pts to its k nearest tree points, queried
+    chunk by chunk by the calling thread and _query_workers - 1 helpers."""
+    n = len(pts)
+    workers = _query_workers(n)
+    chunks = workers * KNN_CHUNKS_PER_WORKER
+    bounds = [n * i // chunks for i in range(chunks + 1)]
+    dists = np.empty((n, k))
+    claim = threading.Lock()
+    claimed = 0
+
+    def take_chunks() -> None:
+        nonlocal claimed
+        while True:
+            with claim:
+                i = claimed
+                claimed += 1
+            if i >= chunks:
+                return
+            lo, hi = bounds[i], bounds[i + 1]
+            dists[lo:hi] = tree.query(pts[lo:hi], k=k)[0]
+
+    helpers = ([_helper_pool(workers - 1).submit(take_chunks)
+                for _ in range(workers - 1)] if workers > 1 else [])
+    try:
+        take_chunks()
+    finally:
+        wait(helpers)
+    for done in helpers:
+        done.result()                         # re-raises a helper's error
+    return dists
+
+
+# (pid, size, pool) of the kNN helper threads. A pool inherited through
+# fork has no threads and would never run its tasks, so it is keyed to the
+# process that made it.
+_knn_helpers: tuple[int, int, ThreadPoolExecutor] | None = None
+
+
+def _helper_pool(size: int) -> ThreadPoolExecutor:
+    """This process's kNN helper pool, with room for `size` threads. The
+    pool starts a thread only when no idle one is left, so its threads live
+    across calls. A pool that is replaced exits its threads once dropped."""
+    global _knn_helpers
+    pid = os.getpid()
+    if _knn_helpers is None or _knn_helpers[0] != pid or _knn_helpers[1] < size:
+        _knn_helpers = (pid, size, ThreadPoolExecutor(
+            size, thread_name_prefix="rownav-knn"))
+    return _knn_helpers[2]
 
 
 def height_crop(cloud, z_min: float, z_max: float) -> np.ndarray:

@@ -27,6 +27,21 @@ def test_unknown_extension_rejected(tmp_path):
         write_cloud(str(tmp_path / "cloud.csv"), np.zeros((1, 3)))
 
 
+@pytest.mark.parametrize("ext", [".xyz", ".bin"])
+@pytest.mark.parametrize("cloud", [
+    [[1, 2], [3, 4], [5, 6]],                    # six numbers, not two points
+    [1.0, 2.0, 3.0],
+    np.zeros((2, 4)),
+    np.zeros((2, 3, 1)),
+    np.zeros((0, 3)),
+])
+def test_write_rejects_a_cloud_not_n_by_3(tmp_path, ext, cloud):
+    path = tmp_path / f"cloud{ext}"
+    with pytest.raises(ValueError, match=r"\(N, 3\)"):
+        write_cloud(str(path), cloud)
+    assert not path.exists()
+
+
 def test_truncated_binary_rejected(tmp_path):
     path = tmp_path / "bad.bin"
     path.write_bytes(b"\x00" * 10)  # not a multiple of 12

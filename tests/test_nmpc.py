@@ -297,6 +297,26 @@ def test_solve_obstacle_constraint_respected():
         assert g <= CFG.solver_tol + 1e-12
 
 
+@pytest.mark.parametrize("obstacles", [None, [], np.empty((0, 2)), np.empty((0, 3))])
+def test_solve_reads_no_obstacle_as_none(obstacles):
+    ln = lane(b_l=1.25, b_r=-1.25, margin=0.3)
+    free = solve(pose_from(0, 0, 0), ln, [], ControlInput(0, 0), CFG)
+    seq = solve(pose_from(0, 0, 0), ln, obstacles, ControlInput(0, 0), CFG)
+    assert seq.inputs == free.inputs
+
+
+@pytest.mark.parametrize("obstacles", [
+    [[1.0, 0.0, 0.5], [2.0, 0.1, 0.7]],          # 3D points: (2, 3)
+    [1.0, 0.0],                                  # one flat pair: (2,)
+    np.zeros((2, 2, 2)),
+])
+def test_solve_rejects_obstacles_not_m_by_2(obstacles):
+    """A (2, 3) array is not read as three 2D points."""
+    ln = lane(b_l=1.25, b_r=-1.25, margin=0.3)
+    with pytest.raises(ValueError, match=r"\(M, 2\)"):
+        solve(pose_from(0, 0, 0), ln, obstacles, ControlInput(0, 0), CFG)
+
+
 def test_solve_infeasible_when_surrounded():
     ln = lane(b_l=1.25, b_r=-1.25, margin=0.3)
     ring = [(0.25 * math.cos(a), 0.25 * math.sin(a))

@@ -1,6 +1,10 @@
 import functools
 import math
+import os
 import re
+import signal
+import threading
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -210,25 +214,48 @@ def test_knn_keeps_what_the_brute_force_statistic_keeps(cloud, k, std_ratio):
     np.testing.assert_array_equal(out, cloud[keep])
 
 
-def _recording_tree(workers):
-    """A cKDTree whose queries append their worker count to `workers`."""
+def _recording_tree(queries, parties):
+    """A cKDTree whose queries append (thread id, first row address, rows)
+    to `queries`. A thread's first query waits until `parties` threads are
+    querying, so every worker the filter starts is seen to take a chunk;
+    one thread more or fewer breaks the barrier."""
+    barrier = threading.Barrier(parties, timeout=10)
+    seen = threading.local()
+
     class Tree(cKDTree):
         def query(self, x, *args, **kwargs):
-            workers.append(kwargs.get("workers", 1))
+            assert "workers" not in kwargs
+            queries.append((threading.get_ident(), x.ctypes.data, len(x)))
+            if not getattr(seen, "querying", False):
+                seen.querying = True
+                barrier.wait()
             return super().query(x, *args, **kwargs)
     return Tree
 
 
-def _filter_on_cpus(cloud, k, std_ratio, cpus):
-    """knn_outlier_filter with the affinity mask showing `cpus` CPUs, and the
-    worker count of its one tree query."""
-    workers = []
+def _filter_on_cpus(cloud, k, std_ratio, cpus, workers):
+    """knn_outlier_filter with the affinity mask showing `cpus` CPUs and a
+    tree that expects `workers` querying threads; returns the output and
+    the recorded (thread id, first row address, rows) of each chunk."""
+    queries = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(pipeline.os, "sched_getaffinity",
                    lambda pid: set(range(cpus)), raising=False)
-        mp.setattr(pipeline, "cKDTree", _recording_tree(workers))
+        mp.setattr(pipeline, "cKDTree", _recording_tree(queries, workers))
         out = knn_outlier_filter(cloud, k, std_ratio)
-    return out, workers
+    return out, queries
+
+
+def _assert_chunks_tile(queries, cloud, workers):
+    """The chunks cover every row of `cloud` once, in order, and were
+    queried by exactly `workers` distinct threads."""
+    chunks = sorted(queries, key=lambda q: q[1])
+    assert len(chunks) == workers * pipeline.KNN_CHUNKS_PER_WORKER
+    assert sum(rows for _, _, rows in chunks) == len(cloud)
+    row_bytes = cloud.strides[0]
+    for (_, addr, rows), (_, next_addr, _) in zip(chunks, chunks[1:]):
+        assert next_addr == addr + rows * row_bytes
+    assert len({thread for thread, _, _ in chunks}) == workers
 
 
 PER_WORKER = pipeline.KNN_QUERIES_PER_WORKER
@@ -238,15 +265,18 @@ PER_WORKER = pipeline.KNN_QUERIES_PER_WORKER
 @given(st.integers(2 * PER_WORKER, 5 * PER_WORKER), st.integers(0, 2 ** 32 - 1),
        st.integers(1, 12), st.floats(0.0, 3.0), st.booleans())
 def test_knn_same_bits_on_one_cpu_and_on_four(n, seed, k, std_ratio, lattice):
-    """Split across workers, the queries keep every bit of the keep mask.
-    Lattice clouds, like voxel centroids, hold many tied distances."""
+    """Split across workers and chunks, the queries keep every bit of the
+    keep mask. Lattice clouds, like voxel centroids, hold many tied
+    distances."""
     cloud = np.random.default_rng(seed).normal(0.0, 1.0, size=(n, 3))
     if lattice:
         cloud = np.round(cloud / 0.05) * 0.05
-    one, one_workers = _filter_on_cpus(cloud, k, std_ratio, cpus=1)
-    four, four_workers = _filter_on_cpus(cloud, k, std_ratio, cpus=4)
-    assert one_workers == [1]
-    assert four_workers == [min(4, n // PER_WORKER)]
+    four_workers = min(4, n // PER_WORKER)
+    one, one_queries = _filter_on_cpus(cloud, k, std_ratio, cpus=1, workers=1)
+    four, four_queries = _filter_on_cpus(cloud, k, std_ratio, cpus=4,
+                                         workers=four_workers)
+    _assert_chunks_tile(one_queries, cloud, 1)
+    _assert_chunks_tile(four_queries, cloud, four_workers)
     assert one.tobytes() == four.tobytes()
 
 
@@ -256,8 +286,57 @@ def test_knn_workers_get_at_least_the_per_worker_cap(n, workers):
     """A cloud under twice the cap queries on one thread, whatever the mask;
     above it, one worker per cap's worth of points, up to the mask's CPUs."""
     cloud = np.random.default_rng(n).random((n, 3))
-    _, used = _filter_on_cpus(cloud, 10, 1.0, cpus=4)
-    assert used == [workers]
+    _, queries = _filter_on_cpus(cloud, 10, 1.0, cpus=4, workers=workers)
+    _assert_chunks_tile(queries, cloud, workers)
+
+
+def test_knn_caller_takes_a_chunk_and_helpers_persist(monkeypatch):
+    """The calling thread queries a chunk itself, and a second call reuses
+    the first call's helper threads instead of starting new ones."""
+    cloud = np.random.default_rng(5).random((4 * PER_WORKER, 3))
+    monkeypatch.setattr(pipeline, "_knn_helpers", None)
+    _, first = _filter_on_cpus(cloud, 10, 1.0, cpus=2, workers=2)
+    assert threading.get_ident() in {thread for thread, _, _ in first}
+    starts = []
+    thread_start = threading.Thread.start
+
+    def counting_start(self):
+        starts.append(self.name)
+        thread_start(self)
+
+    monkeypatch.setattr(threading.Thread, "start", counting_start)
+    _, second = _filter_on_cpus(cloud, 10, 1.0, cpus=2, workers=2)
+    assert starts == []
+    assert ({thread for thread, _, _ in second}
+            == {thread for thread, _, _ in first})
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_knn_filters_in_a_forked_child(monkeypatch):
+    """A child forked after the parent's helpers ran filters a cloud too:
+    an inherited pool has no threads, so the child must not wait on it."""
+    monkeypatch.setattr(pipeline.os, "sched_getaffinity",
+                        lambda pid: {0, 1}, raising=False)
+    cloud = np.random.default_rng(6).random((5 * PER_WORKER, 3))
+    expected = knn_outlier_filter(cloud, 10, 1.0)
+    pid = os.fork()
+    if pid == 0:                                          # the child
+        code = 1
+        try:
+            code = 0 if knn_outlier_filter(cloud, 10, 1.0).tobytes() == \
+                expected.tobytes() else 2
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + 30.0
+    while time.monotonic() < deadline:
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done:
+            assert os.waitstatus_to_exitcode(status) == 0
+            return
+        time.sleep(0.05)
+    os.kill(pid, signal.SIGKILL)
+    os.waitpid(pid, 0)
+    pytest.fail("the forked child did not finish its kNN filter in 30 s")
 
 
 # ---------------------------------------------------------------- crop / fov
