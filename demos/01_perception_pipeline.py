@@ -13,7 +13,8 @@ import numpy as np
 
 from rownav.cloud_io import write_pgm
 from rownav.core import pose_from
-from rownav.pipeline import (PipelineConfig, fov_empty_check, height_crop,
+from rownav.pipeline import (KNN_K, KNN_STD_RATIO, Z_TH_MAX, Z_TH_MIN,
+                             PipelineConfig, fov_empty_check, height_crop,
                              knn_outlier_filter, project_to_grid, shadow_fill,
                              process, voxel_downsample)
 from rownav.sim import CameraSpec, WorldSpec, generate_world, render_cloud
@@ -32,16 +33,16 @@ cfg = PipelineConfig()
 down = voxel_downsample(cloud, cfg.r_v)
 print(f"voxel downsample @ {cfg.r_v} m: {len(down)} points")
 
-filtered = knn_outlier_filter(down, cfg.knn_k, cfg.knn_std_ratio)
-print(f"k-NN noise filter (k={cfg.knn_k}): {len(filtered)} points")
+filtered = knn_outlier_filter(down, KNN_K, KNN_STD_RATIO)
+print(f"k-NN noise filter (k={KNN_K}): {len(filtered)} points")
 
-cropped = height_crop(filtered, cfg.z_th_min, cfg.z_th_max)
+cropped = height_crop(filtered, Z_TH_MIN, Z_TH_MAX)
 frac = len(cropped) / len(filtered)
-print(f"height crop [{cfg.z_th_min}, {cfg.z_th_max}] m: {len(cropped)} points "
+print(f"height crop [{Z_TH_MIN}, {Z_TH_MAX}] m: {len(cropped)} points "
       f"({frac:.0%} survive; empty-view threshold is {cfg.f_points:.0%})")
 assert not fov_empty_check(len(cropped), len(filtered), cfg.f_points)
 
-grid = project_to_grid(cropped, cfg)
+grid = project_to_grid(cropped)
 write_pgm(grid, os.path.join(out_dir, "grid_raw.pgm"))
 filled = shadow_fill(grid)
 write_pgm(filled, os.path.join(out_dir, "grid_filled.pgm"))

@@ -14,6 +14,7 @@ close to perpendicular.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import threading
@@ -28,7 +29,19 @@ from .core import BorderLine
 
 LANE_MODES = ("full", "right_half", "left_half")
 
-# Occupancy grid extent, m: forward from the sensor, and lateral, centred on it.
+# Height crop, m: points below Z_TH_MIN (ground) or above Z_TH_MAX (canopy
+# overhang) are not row evidence.
+Z_TH_MIN = 0.15
+Z_TH_MAX = 2.0
+
+# kNN noise filter: neighbours per point, and the spread, in standard
+# deviations of the mean neighbour distance, a point may sit above the mean.
+KNN_K = 10
+KNN_STD_RATIO = 1.0
+
+# Occupancy grid cell side, m, and extent, m: forward from the sensor, and
+# lateral, centred on it.
+GRID_CELL = 0.05
 GRID_EXTENT_X = 6.0
 GRID_EXTENT_Y = 8.0
 
@@ -44,9 +57,13 @@ BORDER_INLIER_FRAC = 0.5
 MIN_BORDER_SPAN = 0.3
 MAX_BORDER_DIVERGENCE = 0.35
 
-# Fewest kNN queries one worker thread is given. On sim_obstacle's voxel
-# centroids, two workers took 0.58 of one worker's time with 1000 queries
-# each, and 0.85 with 500: below ~1000, a thread's start eats its gain.
+# Fewest kNN queries one worker thread is given. The helper threads persist,
+# so a second worker costs a hand-off, not a thread start: in closed-loop
+# runs on a 2-vCPU host a helper begins its first chunk 0.07-0.13 ms (p50)
+# after the call. On sim_obstacle's voxel centroids, two workers took
+# 0.89-1.22 of one worker's time at 300 points and 0.69-0.88 at 1999: a
+# lower cap would split only frames under 2000 centroids, for at most a
+# millisecond and not reliably.
 KNN_QUERIES_PER_WORKER = 1000
 
 # Contiguous row chunks per query worker. Workers take the next unclaimed
@@ -70,12 +87,7 @@ class PerceptionStatus(Enum):
 @dataclass
 class PipelineConfig:
     r_v: float = 0.05                 # voxel resolution, m
-    z_th_min: float = 0.15            # lower height crop, m
-    z_th_max: float = 2.0             # upper height crop, m
     f_points: float = 0.2             # empty-view fraction threshold
-    knn_k: int = 10
-    knn_std_ratio: float = 1.0
-    grid_cell: float = 0.05           # occupancy cell size, m
     safety_margin_R: float = 0.3      # border inflation distance, m
     max_perp_angle: float = math.radians(70.0)
     lane_mode: str = "full"
@@ -85,14 +97,8 @@ class PipelineConfig:
         errs = []
         if not self.r_v > 0:
             errs.append(f"{path}.r_v: must be > 0")
-        if not self.z_th_min < self.z_th_max:
-            errs.append(f"{path}.z_th_min: must be < {path}.z_th_max")
         if not 0.0 < self.f_points < 1.0:
             errs.append(f"{path}.f_points: must be in (0, 1)")
-        if self.knn_k < 1:
-            errs.append(f"{path}.knn_k: must be >= 1")
-        if not self.grid_cell > 0:
-            errs.append(f"{path}.grid_cell: must be > 0")
         if self.safety_margin_R < 0:
             errs.append(f"{path}.safety_margin_R: must be >= 0")
         if not 0.0 < self.max_perp_angle < math.pi / 2:
@@ -215,8 +221,11 @@ def voxel_downsample(cloud, r_v: float) -> np.ndarray:
     2**63 has no such key and raises ValueError; at r_v = 0.05 that takes
     a cloud ~1e5 m across on every axis. So does a voxel index outside
     int64, from a NaN or infinite coordinate (`process` drops those points
-    first) or a finite one too large for r_v.
+    first) or a finite one too large for r_v. An r_v that is not positive
+    and finite raises ValueError.
     """
+    if not 0.0 < r_v < math.inf:
+        raise ValueError(f"r_v must be positive and finite, got {r_v}")
     pts = _as_cloud(cloud)
     if len(pts) == 0:
         return pts
@@ -256,8 +265,13 @@ def knn_outlier_filter(cloud, k: int, std_ratio: float) -> np.ndarray:
     none is left. With one worker the calling thread queries every chunk.
     The helpers belong to the process that made them; a forked child makes
     its own. Each point's neighbours are found on their own, so the result
-    is the same bits for any worker count and chunking.
+    is the same bits for any worker count and chunking. A k below 1 or a
+    std_ratio that is not finite raises ValueError.
     """
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    if not math.isfinite(std_ratio):
+        raise ValueError(f"std_ratio must be finite, got {std_ratio}")
     pts = _as_cloud(cloud)
     n = len(pts)
     if n <= k:
@@ -351,20 +365,20 @@ def fov_empty_check(n_remaining: int, n_original: int, f_points: float) -> bool:
     return (n_remaining / n_original) < f_points
 
 
-def project_to_grid(cloud, cfg: PipelineConfig) -> OccupancyGrid:
-    """Flatten points onto the x-y occupancy grid; out-of-extent points drop."""
-    cell = cfg.grid_cell
-    nx = int(round(GRID_EXTENT_X / cell))
-    ny = int(round(GRID_EXTENT_Y / cell))
+def project_to_grid(cloud) -> OccupancyGrid:
+    """Flatten points onto the x-y occupancy grid of GRID_CELL cells over
+    GRID_EXTENT_X by GRID_EXTENT_Y; out-of-extent points drop."""
+    nx = int(round(GRID_EXTENT_X / GRID_CELL))
+    ny = int(round(GRID_EXTENT_Y / GRID_CELL))
     x_min = 0.0
     y_min = -0.5 * GRID_EXTENT_Y
     occupied = np.zeros((nx, ny), dtype=bool)
     pts = _as_cloud(cloud)
-    i = np.floor((pts[:, 0] - x_min) / cell).astype(np.int64)
-    j = np.floor((pts[:, 1] - y_min) / cell).astype(np.int64)
+    i = np.floor((pts[:, 0] - x_min) / GRID_CELL).astype(np.int64)
+    j = np.floor((pts[:, 1] - y_min) / GRID_CELL).astype(np.int64)
     ok = (i >= 0) & (i < nx) & (j >= 0) & (j < ny)
     occupied[i[ok], j[ok]] = True
-    return OccupancyGrid(cell, x_min, y_min, occupied)
+    return OccupancyGrid(GRID_CELL, x_min, y_min, occupied)
 
 
 def shadow_fill(grid: OccupancyGrid) -> OccupancyGrid:
@@ -376,19 +390,32 @@ def shadow_fill(grid: OccupancyGrid) -> OccupancyGrid:
     per-bin minimum occupied range, so applying it twice changes nothing.
     """
     occ = grid.observed if grid.observed is not None else grid.occupied
-    ox, oy = grid.sensor_origin
-    cx = grid.x_centers() - ox
-    cy = grid.y_centers() - oy
-    gx, gy = np.meshgrid(cx, cy, indexing="ij")
+    bins, rng = _sight_lines(grid.cell, grid.x_min, grid.y_min, grid.nx, grid.ny,
+                             grid.sensor_origin)
+    min_range = np.full(SHADOW_ANGLE_BINS, np.inf)
+    np.minimum.at(min_range, bins[occ], rng[occ])
+    filled = occ | (rng >= min_range[bins])
+    return replace(grid, occupied=filled, observed=occ.copy())
+
+
+@functools.lru_cache(maxsize=8)
+def _sight_lines(cell: float, x_min: float, y_min: float, nx: int, ny: int,
+                 sensor_origin: tuple[float, float]) -> tuple[np.ndarray, np.ndarray]:
+    """Angular bin and range of each cell centre of a grid geometry, as seen
+    from sensor_origin. They depend on the geometry alone, so each is
+    computed once; the arrays are read-only, as every call shares them."""
+    geometry = OccupancyGrid(cell, x_min, y_min, np.empty((nx, ny), dtype=bool))
+    ox, oy = sensor_origin
+    gx, gy = np.meshgrid(geometry.x_centers() - ox, geometry.y_centers() - oy,
+                         indexing="ij")
     ang = np.arctan2(gy, gx)
     rng = np.hypot(gx, gy)
     width = 2.0 * math.pi / SHADOW_ANGLE_BINS
     bins = np.minimum(np.floor((ang + math.pi) / width).astype(np.int64),
                       SHADOW_ANGLE_BINS - 1)
-    min_range = np.full(SHADOW_ANGLE_BINS, np.inf)
-    np.minimum.at(min_range, bins[occ], rng[occ])
-    filled = occ | (rng >= min_range[bins])
-    return replace(grid, occupied=filled, observed=occ.copy())
+    bins.flags.writeable = False
+    rng.flags.writeable = False
+    return bins, rng
 
 
 def extract_border_samples(grid: OccupancyGrid) -> tuple[np.ndarray, np.ndarray]:
@@ -550,12 +577,12 @@ def process(cloud, cfg: PipelineConfig) -> PerceptionResult:
 
 def _perceive(pts: np.ndarray, cfg: PipelineConfig) -> PerceptionResult:
     down = voxel_downsample(pts, cfg.r_v)
-    filt = knn_outlier_filter(down, cfg.knn_k, cfg.knn_std_ratio)
-    cropped = height_crop(filt, cfg.z_th_min, cfg.z_th_max)
+    filt = knn_outlier_filter(down, KNN_K, KNN_STD_RATIO)
+    cropped = height_crop(filt, Z_TH_MIN, Z_TH_MAX)
     if fov_empty_check(len(cropped), len(filt), cfg.f_points):
         return PerceptionResult(PerceptionStatus.EMPTY_FOV,
                                 reason="surviving point fraction below threshold")
-    grid = project_to_grid(cropped, cfg)
+    grid = project_to_grid(cropped)
     obstacles = _cap_obstacles(grid.occupied_centers(), cfg.max_obstacle_points)
     filled = shadow_fill(grid)
     left_samples, right_samples = extract_border_samples(filled)

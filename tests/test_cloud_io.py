@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from rownav.cloud_io import read_cloud, read_pgm, write_cloud, write_pgm
-from rownav.pipeline import PipelineConfig, project_to_grid
+from rownav.pipeline import project_to_grid
 from rownav.sim import WorldSpec, generate_world
 
 
@@ -73,8 +73,7 @@ def test_pgm_with_missing_pixels_rejected(tmp_path):
 
 
 def test_pgm_round_trip(tmp_path):
-    grid = project_to_grid([(1.0, 0.5, 1.0), (2.0, -0.7, 1.0)],
-                           PipelineConfig())
+    grid = project_to_grid([(1.0, 0.5, 1.0), (2.0, -0.7, 1.0)])
     path = str(tmp_path / "grid.pgm")
     write_pgm(grid, path)
     with open(path) as fh:

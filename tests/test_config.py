@@ -66,7 +66,9 @@ def test_module_constants_are_not_config_keys(tmp_path, capsys):
     """Fixed values of the perception, solver and supervisor rules are
     module constants: a file that sets one fails as a typo would."""
     fixed = {"pipeline": ["grid_extent_x", "grid_extent_y", "min_border_span",
-                          "max_border_divergence", "border_inlier_frac"],
+                          "max_border_divergence", "border_inlier_frac",
+                          "z_th_min", "z_th_max", "knn_k", "knn_std_ratio",
+                          "grid_cell"],
              "nmpc": ["solver_max_iter", "penalty_init", "penalty_growth"],
              "fallback": ["align_tol", "max_row_heading_jump", "max_row_heading_rate"]}
     cfg = tmp_path / "cfg.yaml"
@@ -249,7 +251,7 @@ def test_every_field_of_the_tree_round_trips():
     together, and survives scenario_to_dict -> scenario_from_dict."""
     data = _every_field(ScenarioConfig)
     leaves = list(_leaves(data))
-    assert len(leaves) == 52
+    assert len(leaves) == 47
     for keys, value in leaves:
         single = value
         for key in reversed(keys):

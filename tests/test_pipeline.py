@@ -19,7 +19,7 @@ from rownav import pipeline
 from rownav.cli import resolve_config_path
 from rownav.config import load_scenario
 from rownav.core import BorderLine, pose_from
-from rownav.pipeline import (LANE_MODES, InsufficientSamples, LaneModel,
+from rownav.pipeline import (GRID_CELL, LANE_MODES, InsufficientSamples, LaneModel,
                              OccupancyGrid, PerceptionStatus, PipelineConfig,
                              extract_border_samples, fit_border_line,
                              fov_empty_check, height_crop, knn_outlier_filter,
@@ -156,6 +156,14 @@ def test_voxel_rejects_an_index_outside_int64(cloud, r_v):
         voxel_downsample(cloud, r_v)
 
 
+@pytest.mark.parametrize("r_v", [0.0, -0.05, np.inf, np.nan])
+def test_voxel_rejects_a_resolution_that_is_not_positive_and_finite(r_v):
+    """A zero, negative, infinite or NaN r_v has no voxel lattice: the
+    error names r_v, not the cloud."""
+    with pytest.raises(ValueError, match="^r_v must be positive and finite"):
+        voxel_downsample(_line_to(1.0), r_v)
+
+
 # ---------------------------------------------------------------- knn filter
 
 def brute_force_knn_means(cloud, k):
@@ -166,6 +174,17 @@ def brute_force_knn_means(cloud, k):
         row = np.sort(d[i])
         means.append(row[1:k + 1].mean())
     return np.array(means)
+
+
+@pytest.mark.parametrize("k, std_ratio, name", [
+    (0, 1.0, "k"), (-3, 1.0, "k"),
+    (10, np.nan, "std_ratio"), (10, np.inf, "std_ratio"), (10, -np.inf, "std_ratio")])
+def test_knn_rejects_a_bad_k_or_std_ratio(k, std_ratio, name):
+    """A k below 1 has no neighbour statistic, and a non-finite std_ratio
+    keeps every point or none: the error names the parameter."""
+    cloud = np.random.default_rng(7).random((12, 3))
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        knn_outlier_filter(cloud, k, std_ratio)
 
 
 def test_knn_small_cloud_passthrough():
@@ -363,13 +382,12 @@ def test_fov_empty_threshold():
 # ---------------------------------------------------------------- grid
 
 def test_project_empty_cloud_all_free():
-    grid = project_to_grid([], PipelineConfig())
+    grid = project_to_grid([])
     assert not grid.occupied.any()
 
 
 def test_project_single_point_single_cell():
-    cfg = PipelineConfig()
-    grid = project_to_grid([(1.0, 0.5, 1.0)], cfg)
+    grid = project_to_grid([(1.0, 0.5, 1.0)])
     assert grid.occupied.sum() == 1
     i, j = map(int, np.argwhere(grid.occupied)[0])
     # the occupied cell contains the point
@@ -378,14 +396,12 @@ def test_project_single_point_single_cell():
 
 
 def test_project_two_points_same_cell_idempotent():
-    cfg = PipelineConfig()
-    grid = project_to_grid([(1.0, 0.5, 1.0), (1.01, 0.51, 0.2)], cfg)
+    grid = project_to_grid([(1.0, 0.5, 1.0), (1.01, 0.51, 0.2)])
     assert grid.occupied.sum() == 1
 
 
 def test_project_discards_out_of_extent():
-    cfg = PipelineConfig()
-    grid = project_to_grid([(100.0, 0.0, 1.0), (-1.0, 0.0, 1.0)], cfg)
+    grid = project_to_grid([(100.0, 0.0, 1.0), (-1.0, 0.0, 1.0)])
     assert not grid.occupied.any()
 
 
@@ -476,11 +492,24 @@ def test_shadow_preserves_original_occupancy():
     assert (out.occupied | ~occ).all()  # occ implies out
 
 
+def test_shadow_sight_lines_are_computed_once_and_read_only():
+    """Every frame's grid has one geometry, so shadow_fill computes its
+    sight-line table once, and the shared arrays cannot be written."""
+    grid = project_to_grid(corridor_cloud())
+    geometry = (grid.cell, grid.x_min, grid.y_min, grid.nx, grid.ny,
+                grid.sensor_origin)
+    bins, rng = pipeline._sight_lines(*geometry)
+    shadow_fill(shadow_fill(grid))
+    assert pipeline._sight_lines(*geometry)[0] is bins
+    for table in (bins, rng):
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0] = 0
+
+
 # ---------------------------------------------------------------- borders
 
 def test_border_samples_synthetic_corridor():
-    cfg = PipelineConfig()
-    grid = project_to_grid(corridor_cloud(), cfg)
+    grid = project_to_grid(corridor_cloud())
     filled = shadow_fill(grid)
     left, right = extract_border_samples(filled)
     assert len(left) > 20 and len(right) > 20
@@ -489,10 +518,9 @@ def test_border_samples_synthetic_corridor():
 
 
 def test_border_samples_one_side_empty():
-    cfg = PipelineConfig()
     cloud = corridor_cloud()
     cloud = cloud[cloud[:, 1] > 0]  # keep only the left wall
-    grid = shadow_fill(project_to_grid(cloud, cfg))
+    grid = shadow_fill(project_to_grid(cloud))
     left, right = extract_border_samples(grid)
     assert len(left) > 0
     assert len(right) == 0
@@ -1014,7 +1042,7 @@ def test_obstacles_outside_inflated_corridor():
     cfg = PipelineConfig()
     res = process(corridor_cloud(), cfg)
     assert res.ok
-    margin_slack = cfg.grid_cell  # cell centers are quantized
+    margin_slack = GRID_CELL  # cell centers are quantized
     for ox, oy in res.obstacles:
         y_l = res.lane.inflated_left.y_at(ox)
         y_r = res.lane.inflated_right.y_at(ox)
