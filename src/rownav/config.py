@@ -15,7 +15,6 @@ from __future__ import annotations
 import dataclasses
 import math
 import sys
-import types
 import typing
 from dataclasses import dataclass, field
 
@@ -61,13 +60,12 @@ class ScenarioConfig:
     start: StartPose = field(default_factory=StartPose)
     targets: list[TargetSpec] = field(default_factory=list)
     thresholds: dict[str, float] = field(default_factory=dict)
-    traverse_length: float | None = None   # metrics span; defaults to row_length
     max_ticks: int = 400
 
     @property
     def span(self) -> float:
-        return self.traverse_length if self.traverse_length is not None \
-            else self.world.row_length
+        """The measured stretch of the row, m."""
+        return self.world.row_length
 
     @property
     def desired_offset(self) -> float:
@@ -83,9 +81,6 @@ class ScenarioConfig:
         errs = [f"thresholds.{name}: unknown metric "
                 f"(expected one of {sorted(THRESHOLD_SENSE)})"
                 for name in self.thresholds if name not in THRESHOLD_SENSE]
-        if self.traverse_length is not None:
-            if not 0.0 < self.traverse_length <= self.world.row_length:
-                errs.append("traverse_length: must be in (0, world.row_length]")
         if self.max_ticks < 1:
             errs.append("max_ticks: must be >= 1")
         return errs
@@ -100,8 +95,6 @@ _SCALAR_KINDS = {bool: "a boolean", int: "an integer", float: "a number", str: "
 def _typed(tp, value, path: str, errors: list[str]):
     """`value` coerced to the annotation `tp`, or _INVALID after an error."""
     origin, args = typing.get_origin(tp), typing.get_args(tp)
-    if origin is types.UnionType:        # X | None
-        return None if value is None else _typed(args[0], value, path, errors)
     if origin is list:
         if not isinstance(value, list):
             errors.append(f"{path}: expected a list")
@@ -182,10 +175,7 @@ def load_scenario(path: str) -> ScenarioConfig:
 
 def scenario_to_dict(cfg: ScenarioConfig) -> dict:
     """Normalized mapping for snapshots; round-trips through scenario_from_dict."""
-    out = dataclasses.asdict(cfg)
-    if cfg.traverse_length is None:
-        del out["traverse_length"]
-    return out
+    return dataclasses.asdict(cfg)
 
 
 def dump_scenario(cfg: ScenarioConfig, path: str) -> None:

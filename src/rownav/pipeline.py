@@ -51,11 +51,16 @@ SHADOW_ANGLE_BINS = 2048
 
 # Border evidence: samples under BORDER_INLIER_FRAC of their side's median
 # |y| are obstacles, a side whose samples span under MIN_BORDER_SPAN (m)
-# forward gets no fit, and borders whose directions differ by more than
-# MAX_BORDER_DIVERGENCE (rad) are no row.
+# forward gets no fit, borders whose directions differ by more than
+# MAX_BORDER_DIVERGENCE (rad) are no row, and neither border may lie within
+# MAX_PERP_ANGLE (rad) of perpendicular.
 BORDER_INLIER_FRAC = 0.5
 MIN_BORDER_SPAN = 0.3
 MAX_BORDER_DIVERGENCE = 0.35
+MAX_PERP_ANGLE = math.radians(70.0)
+
+# Most obstacle points handed to the controller per frame.
+MAX_OBSTACLE_POINTS = 30
 
 # Fewest kNN queries one worker thread is given. The helper threads persist,
 # so a second worker costs a hand-off, not a thread start: in closed-loop
@@ -89,9 +94,7 @@ class PipelineConfig:
     r_v: float = 0.05                 # voxel resolution, m
     f_points: float = 0.2             # empty-view fraction threshold
     safety_margin_R: float = 0.3      # border inflation distance, m
-    max_perp_angle: float = math.radians(70.0)
     lane_mode: str = "full"
-    max_obstacle_points: int = 30     # cap on points handed to the controller
 
     def validate(self, path: str = "pipeline") -> list[str]:
         errs = []
@@ -101,12 +104,8 @@ class PipelineConfig:
             errs.append(f"{path}.f_points: must be in (0, 1)")
         if self.safety_margin_R < 0:
             errs.append(f"{path}.safety_margin_R: must be >= 0")
-        if not 0.0 < self.max_perp_angle < math.pi / 2:
-            errs.append(f"{path}.max_perp_angle: must be in (0, pi/2) radians")
         if self.lane_mode not in LANE_MODES:
             errs.append(f"{path}.lane_mode: must be one of {LANE_MODES}")
-        if self.max_obstacle_points < 1:
-            errs.append(f"{path}.max_obstacle_points: must be >= 1")
         return errs
 
 
@@ -508,7 +507,7 @@ def lane_from_borders(left: BorderLine, right: BorderLine,
                 f"(left {lane.inflated_left.b:.3f} <= "
                 f"right {lane.inflated_right.b:.3f})")
     for border in (lane.left, lane.right):
-        if abs(math.atan(border.a)) >= cfg.max_perp_angle:
+        if abs(math.atan(border.a)) >= MAX_PERP_ANGLE:
             return (f"{border.side} border at "
                     f"{math.degrees(math.atan(border.a)):.1f} deg is too close "
                     f"to perpendicular")
@@ -548,7 +547,7 @@ def process(cloud, cfg: PipelineConfig) -> PerceptionResult:
     voxelization changes the raw count by a sensor-dependent factor, which
     would make a raw-count ratio meaningless. Obstacle points are the
     occupied cell centers before the occlusion fill (filled cells are not
-    physical obstacles), capped at cfg.max_obstacle_points. Invalid depth
+    physical obstacles), capped at MAX_OBSTACLE_POINTS. Invalid depth
     returns are dropped first and counted in dropped_points: points with a
     NaN or infinite coordinate, and points at exactly (0, 0, 0), where
     depth sensors put pixels that returned no range. An exception out of
@@ -583,7 +582,7 @@ def _perceive(pts: np.ndarray, cfg: PipelineConfig) -> PerceptionResult:
         return PerceptionResult(PerceptionStatus.EMPTY_FOV,
                                 reason="surviving point fraction below threshold")
     grid = project_to_grid(cropped)
-    obstacles = _cap_obstacles(grid.occupied_centers(), cfg.max_obstacle_points)
+    obstacles = _cap_obstacles(grid.occupied_centers(), MAX_OBSTACLE_POINTS)
     filled = shadow_fill(grid)
     left_samples, right_samples = extract_border_samples(filled)
 

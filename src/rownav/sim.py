@@ -12,7 +12,7 @@ is driven by a single seed, so identical inputs give bit-identical logs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -344,7 +344,6 @@ class TickRecord:
 @dataclass
 class RunLog:
     records: list[TickRecord]
-    world_spec: WorldSpec
     completed: bool = False
     collision: bool = False
     collision_note: str = ""
@@ -378,7 +377,7 @@ def run_scenario(world: World, start_pose: QuatPose, camera: CameraSpec,
     noise_rng = np.random.default_rng([world.spec.seed, 1])
     pose = start_pose
     pending = list(targets or [])
-    log = RunLog(records=[], world_spec=replace(world.spec))
+    log = RunLog(records=[])
 
     for k in range(max_ticks):
         t = k * nmpc_cfg.dt

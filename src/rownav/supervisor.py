@@ -47,26 +47,23 @@ ALIGN_TOL = 0.08
 MAX_ROW_HEADING_JUMP = 0.2
 MAX_ROW_HEADING_RATE = 0.03
 
+# Realignment law: spin gain (1/s) on the heading error and linear speed
+# (m/s) while spinning; spin rate (rad/s) while no row was ever seen; and
+# consecutive empty views that declare the end of the row.
+K_P = 1.0
+V_DURING_REALIGN = 0.0
+SEARCH_OMEGA = 0.2
+N_EMPTY_FOR_END = 3
+
 
 @dataclass
 class FallbackConfig:
-    K_p: float = 1.0                  # 1/s
-    v_during_realign: float = 0.0     # m/s
     creep_v: float = 0.15             # m/s while aligned but lane rejected
-    search_omega: float = 0.2         # rad/s spin while no row was ever seen
-    n_empty_for_end: int = 3          # consecutive empty views before stop
 
     def validate(self, path: str = "fallback") -> list[str]:
-        errs = []
-        if not self.K_p > 0:
-            errs.append(f"{path}.K_p: must be > 0")
         if self.creep_v < 0:
-            errs.append(f"{path}.creep_v: must be >= 0")
-        if not self.search_omega > 0:
-            errs.append(f"{path}.search_omega: must be > 0")
-        if self.n_empty_for_end < 1:
-            errs.append(f"{path}.n_empty_for_end: must be >= 1")
-        return errs
+            return [f"{path}.creep_v: must be >= 0"]
+        return []
 
 
 @dataclass
@@ -94,12 +91,12 @@ class Detection:
     standoff: float = 0.5
 
 
-def fallback_control(heading_error: float, cfg: FallbackConfig) -> ControlInput:
-    """Rotate against the heading error; linear speed is the configured crawl.
+def fallback_control(heading_error: float) -> ControlInput:
+    """Rotate against the heading error at V_DURING_REALIGN.
 
     Unsaturated: MissionSupervisor.tick clips every command to the box.
     """
-    return ControlInput(cfg.v_during_realign, -cfg.K_p * heading_error)
+    return ControlInput(V_DURING_REALIGN, -K_P * heading_error)
 
 
 def target_approach_control(state: QuatPose, target: Point2, standoff: float,
@@ -183,7 +180,7 @@ class MissionSupervisor:
                     sum(math.atan2(p[1], p[0]) for p in nearest) / len(nearest))
                 sign = -1.0 if mean_az >= 0.0 else 1.0
             self.state.search_sign = sign
-        return ControlInput(0.0, self.state.search_sign * self.fallback_cfg.search_omega)
+        return ControlInput(0.0, self.state.search_sign * SEARCH_OMEGA)
 
     def tick(self, pose: QuatPose, perception: PerceptionResult,
              detection: Detection | None = None
@@ -232,7 +229,6 @@ class MissionSupervisor:
                     ) -> tuple[ControlInput, SolverStatus | None, str]:
         """Update the mode; return the raw command, solver status and note."""
         st = self.state
-        fb = self.fallback_cfg
         stop = ControlInput(0.0, 0.0)
         note = ""
 
@@ -240,7 +236,7 @@ class MissionSupervisor:
             return stop, None, "holding"
 
         if (st.mode in (Mode.TRAVERSE, Mode.FALLBACK_REALIGN)
-                and st.empty_fov_streak >= fb.n_empty_for_end):
+                and st.empty_fov_streak >= N_EMPTY_FOR_END):
             st.mode = Mode.END_OF_ROW
             return stop, None, "row cleared"
 
@@ -250,7 +246,7 @@ class MissionSupervisor:
                 return self._search_command(perception), None, "searching for the row"
             err = wrap_angle(heading - st.row_heading_world)
             if abs(err) > ALIGN_TOL:
-                return fallback_control(err, fb), None, "realigning"
+                return fallback_control(err), None, "realigning"
             st.mode = Mode.TRAVERSE
             note = "realigned"
 
@@ -294,12 +290,12 @@ class MissionSupervisor:
             return (self._search_command(perception), None,
                     f"lane rejected, searching ({perception.reason})")
         err = wrap_angle(heading - st.row_heading_world)
-        realign = fallback_control(err, fb)
+        realign = fallback_control(err)
         if abs(err) > ALIGN_TOL:
             st.mode = Mode.FALLBACK_REALIGN
             return realign, None, f"lane rejected: {perception.reason}"
         # Already aligned with the remembered row direction: creep ahead so
         # the run can reach the empty-view stop instead of freezing on a
         # borderline perception.
-        return (ControlInput(fb.creep_v, realign.omega), None,
+        return (ControlInput(self.fallback_cfg.creep_v, realign.omega), None,
                 f"lane rejected, aligned: creeping ({perception.reason})")

@@ -31,13 +31,6 @@ def test_invariant_violation_named():
     assert "pipeline.f_points" in str(exc.value)
 
 
-def test_degrees_rejected_by_range_check():
-    # radians only: a degree-valued angle blows the (0, pi/2) bound
-    with pytest.raises(ConfigError) as exc:
-        scenario_from_dict({"pipeline": {"max_perp_angle": 70.0}})
-    assert "pipeline.max_perp_angle" in str(exc.value)
-
-
 def test_top_level_lane_mode_forwarded():
     cfg = scenario_from_dict({"lane_mode": "right_half",
                               "world": {"intra_row_space": 4.0},
@@ -64,21 +57,26 @@ def test_lane_mode_given_in_both_places_is_an_error(nested):
 
 def test_module_constants_are_not_config_keys(tmp_path, capsys):
     """Fixed values of the perception, solver and supervisor rules are
-    module constants: a file that sets one fails as a typo would."""
+    module constants, and the measured span is the row length: a file that
+    sets one fails as a typo would."""
     fixed = {"pipeline": ["grid_extent_x", "grid_extent_y", "min_border_span",
                           "max_border_divergence", "border_inlier_frac",
                           "z_th_min", "z_th_max", "knn_k", "knn_std_ratio",
-                          "grid_cell"],
+                          "grid_cell", "max_perp_angle", "max_obstacle_points"],
              "nmpc": ["solver_max_iter", "penalty_init", "penalty_growth"],
-             "fallback": ["align_tol", "max_row_heading_jump", "max_row_heading_rate"]}
+             "fallback": ["align_tol", "max_row_heading_jump", "max_row_heading_rate",
+                          "K_p", "v_during_realign", "search_omega",
+                          "n_empty_for_end"]}
+    data = {section: dict.fromkeys(names, 1.0) for section, names in fixed.items()}
+    data["traverse_length"] = 10.0
     cfg = tmp_path / "cfg.yaml"
-    cfg.write_text(yaml.safe_dump({section: dict.fromkeys(names, 1.0)
-                                   for section, names in fixed.items()}))
+    cfg.write_text(yaml.safe_dump(data))
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     for section, names in fixed.items():
         for name in names:
             assert f"config error: {section}.{name}: unknown key" in err
+    assert "config error: traverse_length: unknown key" in err
 
 
 def test_targets_and_obstacles_parsed():
@@ -94,15 +92,6 @@ def test_unknown_threshold_metric():
     with pytest.raises(ConfigError) as exc:
         scenario_from_dict({"thresholds": {"speed": 1.0}})
     assert "thresholds.speed" in str(exc.value)
-
-
-def test_traverse_length_bounds():
-    with pytest.raises(ConfigError):
-        scenario_from_dict({"traverse_length": 30.0,
-                            "world": {"row_length": 20.0}})
-    cfg = scenario_from_dict({"traverse_length": 15.0,
-                              "world": {"row_length": 20.0}})
-    assert cfg.span == 15.0
 
 
 def test_type_errors_reported():
@@ -182,16 +171,15 @@ def test_full_circle_camera_is_valid():
 
 
 def test_one_error_per_bad_field():
-    # a value that fails to coerce keeps the default (None), so no range
-    # check runs on a stand-in value
+    # a value that fails to coerce keeps the default, so no range check
+    # runs on a stand-in value
     with pytest.raises(ConfigError) as exc:
-        scenario_from_dict({"traverse_length": "abc"})
-    assert [e for e in exc.value.errors if "traverse_length" in e] == [
-        "traverse_length: expected a number, got 'abc'"]
+        scenario_from_dict({"world": {"row_length": "abc"}})
+    assert exc.value.errors == ["world.row_length: expected a number, got 'abc'"]
 
 
 # Non-default valid values the generic rule below cannot pick.
-_SPECIAL = {"pipeline.lane_mode": "left_half", "traverse_length": 10.0}
+_SPECIAL = {"pipeline.lane_mode": "left_half"}
 
 
 def _non_default(tp, default, path):
@@ -212,6 +200,25 @@ def _non_default(tp, default, path):
     if tp is float:
         return 0.9 * default if default else 0.05
     raise TypeError(f"{path}: no test value for a field of type {tp!r}")
+
+
+def _settable(cls, path=""):
+    """Dotted path of each settable value under `cls`: a field holding a
+    dataclass is walked, and any other field, the targets list and the
+    thresholds mapping included, is one value."""
+    hints = typing.get_type_hints(cls)
+    for f in dataclasses.fields(cls):
+        here = f"{path}.{f.name}" if path else f.name
+        if dataclasses.is_dataclass(hints[f.name]):
+            yield from _settable(hints[f.name], here)
+        else:
+            yield here
+
+
+def test_settable_value_count():
+    """The scenario tree holds 40 settable values. A change that adds or
+    removes a setting moves this pin and says why."""
+    assert len(list(_settable(ScenarioConfig))) == 40
 
 
 def _every_field(cls, path=""):
@@ -246,12 +253,12 @@ def _plain(value):
 
 
 def test_every_field_of_the_tree_round_trips():
-    """Each field reachable from ScenarioConfig, list entries, thresholds and
-    traverse_length included, is read from a mapping alone and all of them
-    together, and survives scenario_to_dict -> scenario_from_dict."""
+    """Each settable value, list entries and thresholds included, is read
+    from a mapping alone and all of them together, and survives
+    scenario_to_dict -> scenario_from_dict."""
     data = _every_field(ScenarioConfig)
     leaves = list(_leaves(data))
-    assert len(leaves) == 47
+    assert [".".join(keys) for keys, _ in leaves] == list(_settable(ScenarioConfig))
     for keys, value in leaves:
         single = value
         for key in reversed(keys):

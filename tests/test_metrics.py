@@ -11,14 +11,13 @@ from rownav.core import ControlInput, pose_from
 from rownav.metrics import (NotCompleted, clearance_time, compute_report,
                             path_errors, velocity_and_heading_stats)
 from rownav.pipeline import PerceptionStatus
-from rownav.sim import Centerline, Mode, RunLog, TickRecord, WorldSpec
+from rownav.sim import Centerline, Mode, RunLog, TickRecord
 
 
 def make_log(poses, commands, dt=0.7, collision=False):
     records = [TickRecord(k * dt, p, c, Mode.TRAVERSE, PerceptionStatus.OK, None)
                for k, (p, c) in enumerate(zip(poses, commands))]
-    return RunLog(records=records, world_spec=WorldSpec(), completed=True,
-                  collision=collision)
+    return RunLog(records=records, completed=True, collision=collision)
 
 
 def straight_run(v=0.4, dt=0.7, n=80, offset=0.0, heading=0.0):

@@ -792,9 +792,9 @@ def test_process_empty_cloud_empty_fov():
     assert res.status is PerceptionStatus.EMPTY_FOV
 
 
-def test_process_obstacle_cap():
-    cfg = PipelineConfig(max_obstacle_points=10)
-    res = process(corridor_cloud(), cfg)
+def test_process_obstacle_cap(monkeypatch):
+    monkeypatch.setattr(pipeline, "MAX_OBSTACLE_POINTS", 10)
+    res = process(corridor_cloud(), PipelineConfig())
     assert res.ok
     assert len(res.obstacles) == 10
 

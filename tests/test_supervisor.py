@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from rownav import nmpc
+from rownav import nmpc, supervisor
 from rownav.core import BorderLine, ControlInput, Point2, pose_from
 from rownav.nmpc import NmpcConfig, NmpcController, SolverStatus
-from rownav.pipeline import LaneModel, PerceptionResult, PerceptionStatus
+from rownav.pipeline import (LANE_MODES, LaneModel, PerceptionResult,
+                             PerceptionStatus, PipelineConfig, lane_from_borders)
 from rownav.supervisor import (Detection, FallbackConfig, MissionSupervisor,
                                Mode, fallback_control, target_approach_control)
 
@@ -33,15 +36,16 @@ def make_supervisor(**fallback_kwargs):
 # ---------------------------------------------------------------- fallback law
 
 def test_fallback_zero_error_goes_straight():
-    cmd = fallback_control(0.0, FallbackConfig())
+    cmd = fallback_control(0.0)
     assert cmd == ControlInput(0.0, 0.0)
 
 
-def test_fallback_saturates_at_omega_max():
+def test_fallback_saturates_at_omega_max(monkeypatch):
     """fallback_control is the bare law; tick saturates the spin it asks
     for on both realignment exits."""
-    assert fallback_control(1.0, FallbackConfig(K_p=1.0)).omega == -1.0
-    sup = make_supervisor(K_p=1.0)
+    monkeypatch.setattr(supervisor, "K_P", 1.0)
+    assert fallback_control(1.0).omega == -1.0
+    sup = make_supervisor()
     for _ in range(2):  # two agreeing lanes establish the row direction
         sup.tick(pose_from(0, 0, 0), ok_lane())
     for note in ("lane rejected: test", "realigning"):
@@ -50,9 +54,11 @@ def test_fallback_saturates_at_omega_max():
         assert cmd == ControlInput(0.0, -sup.nmpc.cfg.omega_max)
 
 
-def test_fallback_sign_symmetry():
-    cmd = fallback_control(-0.2, FallbackConfig(K_p=1.0))
-    assert cmd.omega == pytest.approx(0.2)
+def test_fallback_sign_symmetry(monkeypatch):
+    """The spin is -K_P times the heading error, on either side."""
+    monkeypatch.setattr(supervisor, "K_P", 2.0)
+    assert fallback_control(-0.2).omega == pytest.approx(0.4)
+    assert fallback_control(0.2).omega == pytest.approx(-0.4)
 
 
 # ---------------------------------------------------------------- approach law
@@ -100,18 +106,21 @@ def test_invalid_after_valid_lane_enters_fallback_with_correct_sign():
     assert cmd.omega < 0.0  # rotate back toward the remembered direction
 
 
-def test_empty_fov_debounce_to_end_of_row():
-    sup = make_supervisor(n_empty_for_end=3)
+def test_empty_fov_debounce_to_end_of_row(monkeypatch):
+    monkeypatch.setattr(supervisor, "N_EMPTY_FOR_END", 3)
+    sup = make_supervisor()
     sup.tick(pose_from(0, 0, 0), ok_lane())
     sup.tick(pose_from(0, 0, 0), ok_lane())
     for k in range(3):
+        assert sup.mode is Mode.TRAVERSE
         cmd, info = sup.tick(pose_from(0, 0, 0), empty())
     assert info.mode is Mode.END_OF_ROW
     assert cmd == ControlInput(0.0, 0.0)
 
 
-def test_empty_streak_resets_on_ok():
-    sup = make_supervisor(n_empty_for_end=3)
+def test_empty_streak_resets_on_ok(monkeypatch):
+    monkeypatch.setattr(supervisor, "N_EMPTY_FOR_END", 3)
+    sup = make_supervisor()
     sup.tick(pose_from(0, 0, 0), ok_lane())
     sup.tick(pose_from(0, 0, 0), empty())
     sup.tick(pose_from(0, 0, 0), empty())
@@ -120,8 +129,9 @@ def test_empty_streak_resets_on_ok():
     assert info.mode is Mode.TRAVERSE
 
 
-def test_end_of_row_absorbing_until_reset():
-    sup = make_supervisor(n_empty_for_end=1)
+def test_end_of_row_absorbing_until_reset(monkeypatch):
+    monkeypatch.setattr(supervisor, "N_EMPTY_FOR_END", 1)
+    sup = make_supervisor()
     sup.tick(pose_from(0, 0, 0), empty())
     assert sup.mode is Mode.END_OF_ROW
     cmd, info = sup.tick(pose_from(0, 0, 0), ok_lane())
@@ -200,31 +210,80 @@ def test_recovers_to_traverse_within_two_ticks():
     assert info.mode is Mode.TRAVERSE
 
 
-def test_commands_always_saturated():
-    """Every command is inside the NMPC box, also when the fallback speeds
-    are not, and is what the controller records as the applied input."""
-    for fallback_kwargs in ({}, {"v_during_realign": 0.6, "creep_v": 0.6,
-                                 "search_omega": 0.9}):
-        rng = np.random.default_rng(12)
-        sup = make_supervisor(**fallback_kwargs)
-        cfg = sup.nmpc.cfg
-        perceptions = [ok_lane(), invalid(), empty()]
-        for k in range(30):
-            perc = perceptions[int(rng.integers(0, 3))]
-            det = Detection(Point2(rng.uniform(-3, 3), rng.uniform(-2, 2)), 0.5) \
-                if rng.random() < 0.3 else None
-            pose = pose_from(rng.uniform(-1, 1), rng.uniform(-1, 1),
-                             rng.uniform(-math.pi, math.pi))
-            cmd, _ = sup.tick(pose, perc, det)
-            assert abs(cmd.v) <= cfg.v_max + 1e-12
-            assert abs(cmd.omega) <= cfg.omega_max + 1e-12
+def _perception(kind, obstacles, a, da, b_l, b_r, lane_mode):
+    """A result of the drawn kind. An OK lane comes from lane_from_borders,
+    so a drawn pair of borders it rejects is the INVALID_LANE that process
+    would report, with the obstacles kept."""
+    if kind is PerceptionStatus.EMPTY_FOV:
+        return empty()
+    lane = "drawn"
+    if kind is PerceptionStatus.OK:
+        if obstacles is None:
+            obstacles = np.empty((0, 2))
+        lane = lane_from_borders(BorderLine(a, b_l, "left"),
+                                 BorderLine(a + da, -b_r, "right"),
+                                 PipelineConfig(lane_mode=lane_mode))
+    if isinstance(lane, str):
+        return PerceptionResult(PerceptionStatus.INVALID_LANE,
+                                obstacles=obstacles, reason=lane)
+    return PerceptionResult(PerceptionStatus.OK, lane=lane, obstacles=obstacles)
+
+
+obstacle_arrays = st.lists(
+    st.tuples(st.floats(-1.0, 4.0), st.floats(-2.0, 2.0)), max_size=4,
+).map(lambda pts: np.array(pts, dtype=float).reshape(-1, 2))
+
+perceptions = st.builds(
+    _perception, st.sampled_from(PerceptionStatus), st.none() | obstacle_arrays,
+    st.floats(-1.0, 1.0), st.floats(-0.3, 0.3), st.floats(0.05, 2.0),
+    st.floats(0.05, 2.0), st.sampled_from(LANE_MODES))
+
+detections = st.none() | st.builds(
+    Detection, st.builds(Point2, st.floats(-3.0, 3.0), st.floats(-2.0, 2.0)),
+    st.floats(0.2, 1.0))
+
+# (V_DURING_REALIGN, SEARCH_OMEGA, N_EMPTY_FOR_END, creep_v); the speeds
+# reach outside the NMPC box.
+fallback_values = st.tuples(st.floats(0.0, 1.0), st.floats(0.05, 2.0),
+                            st.integers(1, 3), st.floats(0.0, 1.0))
+
+@settings(max_examples=60)
+@given(st.lists(st.tuples(perceptions, detections,
+                          st.floats(-2 * math.pi, 2 * math.pi)),
+                min_size=1, max_size=16),
+       fallback_values)
+@example([(ok_lane(), None, 0.0)] * 2 + [(empty(), None, 0.0)] * 3
+         + [(ok_lane(), Detection(Point2(2.0, 0.0), 0.5), 0.0)],
+         (0.6, 0.9, 3, 0.6))
+def test_commands_always_saturated(ticks, fallback):
+    """Over drawn tick sequences: tick never raises, every command lies in
+    the NMPC box and is what the controller records as the applied input,
+    also when the fallback speeds are outside the box, and from the tick
+    that reaches END_OF_ROW on, every command is the stop."""
+    v_realign, search_omega, n_empty, creep_v = fallback
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(supervisor, "V_DURING_REALIGN", v_realign)
+        mp.setattr(supervisor, "SEARCH_OMEGA", search_omega)
+        mp.setattr(supervisor, "N_EMPTY_FOR_END", n_empty)
+        sup = make_supervisor(creep_v=creep_v)
+        box = sup.nmpc.cfg
+        ended = False
+        for perception, detection, heading in ticks:
+            cmd, info = sup.tick(pose_from(0.0, 0.0, heading), perception, detection)
+            assert abs(cmd.v) <= box.v_max
+            assert abs(cmd.omega) <= box.omega_max
             assert sup.nmpc._u_prev == cmd
+            ended = ended or info.mode is Mode.END_OF_ROW
+            if ended:
+                assert info.mode is Mode.END_OF_ROW
+                assert cmd == ControlInput(0.0, 0.0)
 
 
-def test_fallback_speeds_outside_box_saturated_and_recorded():
-    """The creep and realignment exits clip a configured speed above v_max
-    to the box, and the controller records the clipped command."""
-    sup = make_supervisor(v_during_realign=0.6, creep_v=0.6)
+def test_fallback_speeds_outside_box_saturated_and_recorded(monkeypatch):
+    """The creep and realignment exits clip a speed above v_max to the box,
+    and the controller records the clipped command."""
+    monkeypatch.setattr(supervisor, "V_DURING_REALIGN", 0.6)
+    sup = make_supervisor(creep_v=0.6)
     v_max = sup.nmpc.cfg.v_max
     for _ in range(2):  # two agreeing lanes establish the row direction
         sup.tick(pose_from(0, 0, 0), ok_lane())
