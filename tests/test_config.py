@@ -31,6 +31,14 @@ def test_invariant_violation_named():
     assert "pipeline.f_points" in str(exc.value)
 
 
+def test_degrees_rejected_by_range_check():
+    # radians only: a degree-valued field of view blows its radian bound
+    with pytest.raises(ConfigError) as exc:
+        scenario_from_dict({"camera": {"h_fov": 87.0, "v_fov": 58.0}})
+    assert "camera.h_fov" in str(exc.value)
+    assert "camera.v_fov" in str(exc.value)
+
+
 def test_top_level_lane_mode_forwarded():
     cfg = scenario_from_dict({"lane_mode": "right_half",
                               "world": {"intra_row_space": 4.0},
@@ -92,6 +100,15 @@ def test_unknown_threshold_metric():
     with pytest.raises(ConfigError) as exc:
         scenario_from_dict({"thresholds": {"speed": 1.0}})
     assert "thresholds.speed" in str(exc.value)
+
+
+def test_traverse_length_bounds():
+    # the measured span is the row length, which must be positive
+    with pytest.raises(ConfigError) as exc:
+        scenario_from_dict({"world": {"row_length": 0.0}})
+    assert "world.row_length" in str(exc.value)
+    cfg = scenario_from_dict({"world": {"row_length": 15.0}})
+    assert cfg.span == 15.0
 
 
 def test_type_errors_reported():
