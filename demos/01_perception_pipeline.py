@@ -42,12 +42,12 @@ print(f"height crop [{Z_TH_MIN}, {Z_TH_MAX}] m: {len(cropped)} points "
       f"({frac:.0%} survive; empty-view threshold is {cfg.f_points:.0%})")
 assert not fov_empty_check(len(cropped), len(filtered), cfg.f_points)
 
-grid = project_to_grid(cropped)
-write_pgm(grid, os.path.join(out_dir, "grid_raw.pgm"))
-filled = shadow_fill(grid)
+occupied = project_to_grid(cropped)
+write_pgm(occupied, os.path.join(out_dir, "grid_raw.pgm"))
+filled = shadow_fill(occupied)
 write_pgm(filled, os.path.join(out_dir, "grid_filled.pgm"))
-print(f"occupancy grid: {grid.occupied.sum()} cells occupied, "
-      f"{filled.occupied.sum()} after occlusion fill "
+print(f"occupancy grid: {occupied.sum()} cells occupied, "
+      f"{filled.sum()} after occlusion fill "
       "(see grid_raw.pgm / grid_filled.pgm)")
 
 result = process(cloud, cfg)

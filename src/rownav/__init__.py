@@ -10,8 +10,8 @@ from .core import (BorderLine, ControlInput, Point2, QuatPose,
 from .nmpc import (ControlSequence, NmpcConfig, NmpcController, SolverStatus,
                    align_cost, dynamics, integrate_step, lane_cost, meyer_cost,
                    solve, stage_cost)
-from .pipeline import (LaneModel, OccupancyGrid, PerceptionResult,
-                       PerceptionStatus, PipelineConfig, process)
+from .pipeline import (LaneModel, PerceptionResult, PerceptionStatus,
+                       PipelineConfig, process)
 from .sim import (CameraSpec, Centerline, ObstacleSpec, RunLog, TargetSpec,
                   World, WorldSpec, generate_world, render_cloud, run_scenario,
                   step_rover)

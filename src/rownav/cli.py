@@ -172,7 +172,10 @@ def check_thresholds(metrics: dict, thresholds: dict) -> tuple[bool, list[str]]:
         value = metrics.get(name)
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             ok = False
-            why = "missing from" if value is None else f"{value!r} is not a number in"
+            # a run that never cleared the row writes "clearance_time": null
+            shown = "null" if value is None else repr(value)
+            why = ("missing from" if name not in metrics
+                   else f"{shown} is not a number in")
             lines.append(f"FAIL {name}: {why} metrics file")
             continue
         passed = {"<=": value <= bound, ">=": value >= bound,

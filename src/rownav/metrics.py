@@ -73,8 +73,8 @@ def velocity_and_heading_stats(records: list[TickRecord], centerline: Centerline
     the reference at the projected arc coordinate. Standard deviations
     are population statistics over the ticks.
     """
-    if len(records) < 2:
-        raise ValueError("need at least 2 ticks")
+    if not records:
+        raise ValueError("need at least 1 tick")
     projected = _project(records, centerline) if projected is None else projected
     v = np.array([rec.command.v for rec in records])
     w = np.array([rec.command.omega for rec in records])

@@ -5,11 +5,12 @@ obstacle points the controller consumes. Stages, in order: voxel
 downsampling, k-NN statistical noise removal, height crop, empty-view
 check, 2D occupancy projection, occlusion fill behind occupied cells,
 per-column border extraction, least-squares line fits, and the lane gate
-(`lane_from_borders`). A frame is rejected as INVALID_LANE when a border
-is missing, or when the gate finds, in this order: borders that diverge,
-the sensor outside the fitted corridor, a corridor that the safety margin
-(applied after the optional half-lane split) collapses, or a border too
-close to perpendicular.
+(`lane_from_borders`). The grid stages share one fixed lattice in front of
+the sensor and pass boolean occupancy masks over it. A frame is rejected
+as INVALID_LANE when a border is missing, or when the gate finds, in this
+order: borders that diverge, the sensor outside the fitted corridor, a
+corridor that the safety margin (applied after the optional half-lane
+split) collapses, or a border too close to perpendicular.
 """
 
 from __future__ import annotations
@@ -40,10 +41,20 @@ KNN_K = 10
 KNN_STD_RATIO = 1.0
 
 # Occupancy grid cell side, m, and extent, m: forward from the sensor, and
-# lateral, centred on it.
+# lateral, centred on it. An occupancy mask is a bool (GRID_NX, GRID_NY)
+# array; cell (i, j) covers x in [i, i + 1) * GRID_CELL and y in
+# [j, j + 1) * GRID_CELL - GRID_EXTENT_Y / 2.
 GRID_CELL = 0.05
 GRID_EXTENT_X = 6.0
 GRID_EXTENT_Y = 8.0
+GRID_NX = round(GRID_EXTENT_X / GRID_CELL)
+GRID_NY = round(GRID_EXTENT_Y / GRID_CELL)
+X_CENTERS = (np.arange(GRID_NX) + 0.5) * GRID_CELL
+# Centred form keeps the lattice exactly symmetric about y = 0, which the
+# mirror-symmetry guarantees rely on.
+Y_CENTERS = (np.arange(GRID_NY) + 0.5 - 0.5 * GRID_NY) * GRID_CELL
+X_CENTERS.flags.writeable = False
+Y_CENTERS.flags.writeable = False
 
 # Angular bins used by the occlusion fill. One bin spans ~0.18 deg, below
 # the angle a grid cell subtends anywhere inside the grid extent.
@@ -107,46 +118,6 @@ class PipelineConfig:
         if self.lane_mode not in LANE_MODES:
             errs.append(f"{path}.lane_mode: must be one of {LANE_MODES}")
         return errs
-
-
-@dataclass(frozen=True)
-class OccupancyGrid:
-    """Boolean occupancy over a forward-facing grid.
-
-    Cell (i, j) covers x in [x_min + i*cell, x_min + (i+1)*cell) and the
-    matching y slab. The sensor origin must fall inside the grid.
-    """
-
-    cell: float
-    x_min: float
-    y_min: float
-    occupied: np.ndarray                       # bool, shape (nx, ny)
-    sensor_origin: tuple[float, float] = (0.0, 0.0)
-    observed: np.ndarray | None = None         # pre-fill occupancy, if filled
-
-    @property
-    def nx(self) -> int:
-        return self.occupied.shape[0]
-
-    @property
-    def ny(self) -> int:
-        return self.occupied.shape[1]
-
-    def x_centers(self) -> np.ndarray:
-        return self.x_min + (np.arange(self.nx) + 0.5) * self.cell
-
-    def y_centers(self) -> np.ndarray:
-        # Centered form keeps the lattice exactly symmetric about the grid
-        # midline, which the mirror-symmetry guarantees rely on.
-        mid = self.y_min + 0.5 * self.ny * self.cell
-        return (np.arange(self.ny) + 0.5 - 0.5 * self.ny) * self.cell + mid
-
-    def occupied_centers(self) -> np.ndarray:
-        """(M, 2) array of occupied cell centers."""
-        ii, jj = np.nonzero(self.occupied)
-        xs = self.x_centers()[ii]
-        ys = self.y_centers()[jj]
-        return np.column_stack([xs, ys])
 
 
 @dataclass(frozen=True)
@@ -364,49 +335,46 @@ def fov_empty_check(n_remaining: int, n_original: int, f_points: float) -> bool:
     return (n_remaining / n_original) < f_points
 
 
-def project_to_grid(cloud) -> OccupancyGrid:
-    """Flatten points onto the x-y occupancy grid of GRID_CELL cells over
-    GRID_EXTENT_X by GRID_EXTENT_Y; out-of-extent points drop."""
-    nx = int(round(GRID_EXTENT_X / GRID_CELL))
-    ny = int(round(GRID_EXTENT_Y / GRID_CELL))
-    x_min = 0.0
-    y_min = -0.5 * GRID_EXTENT_Y
-    occupied = np.zeros((nx, ny), dtype=bool)
+def project_to_grid(cloud) -> np.ndarray:
+    """Occupancy mask of the points: a cell is True when a point falls in
+    it. Points outside the grid extent drop."""
+    occupied = np.zeros((GRID_NX, GRID_NY), dtype=bool)
     pts = _as_cloud(cloud)
-    i = np.floor((pts[:, 0] - x_min) / GRID_CELL).astype(np.int64)
-    j = np.floor((pts[:, 1] - y_min) / GRID_CELL).astype(np.int64)
-    ok = (i >= 0) & (i < nx) & (j >= 0) & (j < ny)
+    i = np.floor(pts[:, 0] / GRID_CELL).astype(np.int64)
+    j = np.floor((pts[:, 1] + 0.5 * GRID_EXTENT_Y) / GRID_CELL).astype(np.int64)
+    ok = (i >= 0) & (i < GRID_NX) & (j >= 0) & (j < GRID_NY)
     occupied[i[ok], j[ok]] = True
-    return OccupancyGrid(GRID_CELL, x_min, y_min, occupied)
+    return occupied
 
 
-def shadow_fill(grid: OccupancyGrid) -> OccupancyGrid:
-    """Mark cells hidden behind occupied cells, as seen from the sensor.
+def _cell_centers(mask: np.ndarray) -> np.ndarray:
+    """(M, 2) centres of the cells a mask holds, in row-major order."""
+    ii, jj = np.nonzero(mask)
+    return np.column_stack([X_CENTERS[ii], Y_CENTERS[jj]])
+
+
+def shadow_fill(occupied: np.ndarray) -> np.ndarray:
+    """The mask with the cells hidden behind occupied cells, as seen from
+    the sensor, added.
 
     Each cell is assigned the angular bin of its center as seen from the
-    sensor origin; a cell becomes occupied when some occupied cell with the
+    sensor; a cell becomes occupied when some occupied cell with the
     same bin sits at equal or smaller range. The rule is a pure function of
-    per-bin minimum occupied range, so applying it twice changes nothing.
+    per-bin minimum occupied range, so filling a filled mask returns it.
     """
-    occ = grid.observed if grid.observed is not None else grid.occupied
-    bins, rng = _sight_lines(grid.cell, grid.x_min, grid.y_min, grid.nx, grid.ny,
-                             grid.sensor_origin)
+    bins, rng = _sight_lines()
     min_range = np.full(SHADOW_ANGLE_BINS, np.inf)
-    np.minimum.at(min_range, bins[occ], rng[occ])
-    filled = occ | (rng >= min_range[bins])
-    return replace(grid, occupied=filled, observed=occ.copy())
+    np.minimum.at(min_range, bins[occupied], rng[occupied])
+    return occupied | (rng >= min_range[bins])
 
 
-@functools.lru_cache(maxsize=8)
-def _sight_lines(cell: float, x_min: float, y_min: float, nx: int, ny: int,
-                 sensor_origin: tuple[float, float]) -> tuple[np.ndarray, np.ndarray]:
-    """Angular bin and range of each cell centre of a grid geometry, as seen
-    from sensor_origin. They depend on the geometry alone, so each is
-    computed once; the arrays are read-only, as every call shares them."""
-    geometry = OccupancyGrid(cell, x_min, y_min, np.empty((nx, ny), dtype=bool))
-    ox, oy = sensor_origin
-    gx, gy = np.meshgrid(geometry.x_centers() - ox, geometry.y_centers() - oy,
-                         indexing="ij")
+@functools.cache
+def _sight_lines() -> tuple[np.ndarray, np.ndarray]:
+    """Angular bin and range of each cell centre, as seen from the sensor.
+    They depend on the lattice alone, so they are computed on first use,
+    once per process, and not at import, which every run waits for. The
+    arrays are read-only, as every call shares them."""
+    gx, gy = np.meshgrid(X_CENTERS, Y_CENTERS, indexing="ij")
     ang = np.arctan2(gy, gx)
     rng = np.hypot(gx, gy)
     width = 2.0 * math.pi / SHADOW_ANGLE_BINS
@@ -417,39 +385,37 @@ def _sight_lines(cell: float, x_min: float, y_min: float, nx: int, ny: int,
     return bins, rng
 
 
-def extract_border_samples(grid: OccupancyGrid) -> tuple[np.ndarray, np.ndarray]:
+def extract_border_samples(seen: np.ndarray, filled: np.ndarray
+                           ) -> tuple[np.ndarray, np.ndarray]:
     """Innermost occupied cell center per column, split by side.
 
     For every x column the occupied cell with the smallest y > 0 becomes a
     left-border sample and the one with the largest y < 0 a right-border
     sample; columns lacking occupancy on a side contribute nothing there.
 
-    Occlusion-filled cells matter only where nothing was directly seen:
-    in a column whose side holds observed occupancy, the observed cells
-    define the sample (an occlusion wedge cast into the corridor by a
-    mid-lane obstacle must not drag the border inward), while columns a
-    side never observed fall back to filled cells, which is what bridges
-    the gaps between plants. Each side also stops at its last directly
-    observed column: beyond the final plant the fill produces a diverging
-    wedge along the last sight lines, occluded space rather than border.
-    The filled cells are taken to include the observed ones, as
-    `shadow_fill` makes them.
+    `seen` is the projected mask and `filled` the same mask after
+    `shadow_fill`, so it holds every seen cell. Filled cells matter only
+    where nothing was directly seen: in a column whose side holds seen
+    occupancy, the seen cells define the sample (an occlusion wedge cast
+    into the corridor by a mid-lane obstacle must not drag the border
+    inward), while columns a side never saw fall back to filled cells,
+    which is what bridges the gaps between plants. Each side also stops
+    at its last column with seen cells: beyond the final plant the fill
+    produces a diverging wedge along the last sight lines, occluded space
+    rather than border.
     """
-    xs = grid.x_centers()
-    ys = grid.y_centers()
-    seen = grid.observed if grid.observed is not None else grid.occupied
-    pos = ys > 0.0
-    neg = ys < 0.0
-    # y_centers ascend, so each side's lateral axis runs innermost first
+    pos = Y_CENTERS > 0.0
+    neg = Y_CENTERS < 0.0
+    # Y_CENTERS ascend, so each side's lateral axis runs innermost first
     # once the right side is reversed.
-    return (_innermost(xs, ys[pos], seen[:, pos], grid.occupied[:, pos]),
-            _innermost(xs, ys[neg][::-1], seen[:, neg][:, ::-1],
-                       grid.occupied[:, neg][:, ::-1]))
+    return (_innermost(Y_CENTERS[pos], seen[:, pos], filled[:, pos]),
+            _innermost(Y_CENTERS[neg][::-1], seen[:, neg][:, ::-1],
+                       filled[:, neg][:, ::-1]))
 
 
-def _innermost(xs: np.ndarray, ys: np.ndarray, seen: np.ndarray,
+def _innermost(ys: np.ndarray, seen: np.ndarray,
                filled: np.ndarray) -> np.ndarray:
-    """(x, y) of the first cell of each column, over the observed cells where
+    """(x, y) of the first cell of each column, over the seen cells where
     the column saw any and the filled cells elsewhere, up to the last column
     that saw any."""
     saw = seen.any(axis=1)
@@ -457,7 +423,8 @@ def _innermost(xs: np.ndarray, ys: np.ndarray, seen: np.ndarray,
         return np.empty((0, 2))
     cells = np.where(saw[:, None], seen, filled)[:np.flatnonzero(saw)[-1] + 1]
     hit = cells.any(axis=1)
-    return np.column_stack([xs[:len(cells)][hit], ys[cells.argmax(axis=1)[hit]]])
+    return np.column_stack([X_CENTERS[:len(cells)][hit],
+                            ys[cells.argmax(axis=1)[hit]]])
 
 
 def fit_border_line(samples, side: str) -> BorderLine:
@@ -581,10 +548,10 @@ def _perceive(pts: np.ndarray, cfg: PipelineConfig) -> PerceptionResult:
     if fov_empty_check(len(cropped), len(filt), cfg.f_points):
         return PerceptionResult(PerceptionStatus.EMPTY_FOV,
                                 reason="surviving point fraction below threshold")
-    grid = project_to_grid(cropped)
-    obstacles = _cap_obstacles(grid.occupied_centers(), MAX_OBSTACLE_POINTS)
-    filled = shadow_fill(grid)
-    left_samples, right_samples = extract_border_samples(filled)
+    occupied = project_to_grid(cropped)
+    obstacles = _cap_obstacles(_cell_centers(occupied), MAX_OBSTACLE_POINTS)
+    filled = shadow_fill(occupied)
+    left_samples, right_samples = extract_border_samples(occupied, filled)
 
     borders: dict[str, BorderLine] = {}
     for side, samples in (("left", left_samples), ("right", right_samples)):

@@ -19,8 +19,8 @@ from rownav.config import load_scenario
 from rownav.core import BorderLine, ControlInput, QuatPose, pose_from
 from rownav.nmpc import (NmpcConfig, _stage_partials, integrate_step,
                          meyer_cost, solve, stage_cost, lane_cost, align_cost)
-from rownav.pipeline import (LaneModel, PipelineConfig, PerceptionStatus,
-                             OccupancyGrid, knn_outlier_filter, process,
+from rownav.pipeline import (GRID_NX, GRID_NY, LaneModel, PipelineConfig,
+                             PerceptionStatus, knn_outlier_filter, process,
                              shadow_fill)
 from rownav.sim import Mode, generate_world
 from rownav.supervisor import Mode as SupMode
@@ -91,10 +91,22 @@ RUN_DIGESTS = {
 }
 
 
+# log_digest of bench/pergola_dense.yaml: sim_half_lane seen by a 424 x 240
+# depth camera, the run with the most points and grid cells per frame.
+PERGOLA_DENSE_DIGEST = \
+    "f05ac320dbf37e8686ae7aa56a438f71701120b564c2f127ce519e4b3227b54b"
+
+
 @pytest.mark.parametrize("run", list(RUN_DIGESTS))
 def test_bundled_run_keeps_its_bytes(run, request):
     _, _, log, _, _ = request.getfixturevalue(run)
     assert log_digest(log) == RUN_DIGESTS[run]
+
+
+def test_pergola_dense_run_keeps_its_bytes():
+    path = Path(__file__).resolve().parents[1] / "bench" / "pergola_dense.yaml"
+    _, _, log, _, _ = run_bundled(str(path))
+    assert log_digest(log) == PERGOLA_DENSE_DIGEST
 
 
 def test_criterion_01_straight_row(straight):
@@ -354,11 +366,8 @@ def test_criterion_10_pipeline_oracles():
 
     # occlusion fill is idempotent
     for _ in range(5):
-        occ = rng.random((60, 80)) < 0.04
-        grid = OccupancyGrid(0.05, 0.0, -2.0, occ)
-        once = shadow_fill(grid)
-        twice = shadow_fill(once)
-        np.testing.assert_array_equal(once.occupied, twice.occupied)
+        once = shadow_fill(rng.random((GRID_NX, GRID_NY)) < 0.04)
+        np.testing.assert_array_equal(shadow_fill(once), once)
 
     # the noise filter removes a single injected far outlier
     cluster = rng.normal(0, 0.05, size=(120, 3))

@@ -50,6 +50,22 @@ def test_run_deterministic_csv(fast_config, tmp_path):
     assert b1 == b2
 
 
+def test_run_measuring_one_tick_reports_metrics(tmp_path, capsys):
+    """A row short enough that one tick lies in its measured span still gets
+    a report: statistics over one tick are defined."""
+    config = tmp_path / "short.yaml"
+    config.write_text(yaml.safe_dump({
+        "world": {"row_length": 0.2, "seed": 42, "canopy_overhang": 6.0},
+        "max_ticks": 60}))
+    out = str(tmp_path / "out")
+    assert main(["run", "--config", str(config), "--out", out]) == 0, \
+        capsys.readouterr().err
+    with open(os.path.join(out, "metrics.json")) as fh:
+        metrics = json.load(fh)
+    assert metrics["clearance_time"] is not None
+    assert metrics["gamma_std"] == 0.0 and metrics["omega_std"] == 0.0
+
+
 def test_run_config_error_exit_two(tmp_path, capsys):
     bad = tmp_path / "bad.yaml"
     data = dict(FAST_SCENARIO)
@@ -151,6 +167,20 @@ def test_check_missing_metric_fails_by_name(tmp_path, capsys):
     assert main(["check", "--metrics", str(metrics),
                  "--thresholds", str(th)]) == 1
     assert "gamma_std" in capsys.readouterr().out
+
+
+def test_check_null_metric_is_named_not_missing(tmp_path, capsys):
+    """A run that never cleared the row writes "clearance_time": null; the
+    key is there, so check names the null instead of calling it missing."""
+    metrics = tmp_path / "metrics.json"
+    metrics.write_text(json.dumps({"clearance_time": None, "collisions": 0}))
+    th = tmp_path / "th.yaml"
+    th.write_text(yaml.safe_dump({"clearance_time": 60.0, "collisions": 0}))
+    assert main(["check", "--metrics", str(metrics),
+                 "--thresholds", str(th)]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL clearance_time: null is not a number in metrics file" in out
+    assert "missing" not in out
 
 
 def test_check_empty_thresholds_vacuous_pass(tmp_path, capsys):

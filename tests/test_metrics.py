@@ -52,6 +52,19 @@ def test_velocity_heading_stats_aligned_run():
     assert w_std == pytest.approx(0.0)
 
 
+def test_report_over_a_span_of_one_tick():
+    """Only the first tick lies in [0, row_length]: the statistics are
+    those of that tick, not an error."""
+    log = make_log([pose_from(0.1, 0.02, 0.05), pose_from(0.38, 0.0, 0.0)],
+                   [ControlInput(0.4, 0.1), ControlInput(0.3, 0.0)])
+    report = compute_report(log, LINE, row_length=0.2)
+    assert report.clearance_time == pytest.approx(0.7)
+    assert report.v_avg == pytest.approx(0.4)
+    assert report.cum_gamma_avg == pytest.approx(0.05)
+    assert report.gamma_std == 0.0 and report.omega_std == 0.0
+    assert report.mae == pytest.approx(0.02)
+
+
 def test_omega_std_two_level_commands():
     poses = [pose_from(0.1 * k, 0, 0) for k in range(10)]
     commands = [ControlInput(0.4, 0.1 if k % 2 == 0 else -0.1)

@@ -3,9 +3,10 @@ import math
 import os
 import re
 import signal
+import subprocess
+import sys
 import threading
 import time
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -19,8 +20,10 @@ from rownav import pipeline
 from rownav.cli import resolve_config_path
 from rownav.config import load_scenario
 from rownav.core import BorderLine, pose_from
-from rownav.pipeline import (GRID_CELL, LANE_MODES, InsufficientSamples, LaneModel,
-                             OccupancyGrid, PerceptionStatus, PipelineConfig,
+from rownav.pipeline import (GRID_CELL, GRID_EXTENT_Y, GRID_NX, GRID_NY,
+                             LANE_MODES, X_CENTERS, Y_CENTERS,
+                             InsufficientSamples, LaneModel,
+                             PerceptionStatus, PipelineConfig,
                              extract_border_samples, fit_border_line,
                              fov_empty_check, height_crop, knn_outlier_filter,
                              lane_from_borders, process, project_to_grid,
@@ -381,137 +384,130 @@ def test_fov_empty_threshold():
 
 # ---------------------------------------------------------------- grid
 
+def mask_of(cells):
+    """Occupancy mask over the grid lattice holding the given (i, j) cells."""
+    occupied = np.zeros((GRID_NX, GRID_NY), dtype=bool)
+    for i, j in cells:
+        occupied[i, j] = True
+    return occupied
+
+
+# Cells (i, GRID_NY // 2 + i) have x == y bit for bit: they lie on the 45 deg
+# sight line from the sensor and share one angle bin.
+DIAGONAL = [(i, GRID_NY // 2 + i) for i in range(min(GRID_NX, GRID_NY // 2))]
+
+
+def test_grid_lattice_centres():
+    assert X_CENTERS.shape == (GRID_NX,) and Y_CENTERS.shape == (GRID_NY,)
+    assert X_CENTERS[0] == 0.5 * GRID_CELL
+    # exact mirror symmetry about y = 0, and no cell centre on it
+    np.testing.assert_array_equal(Y_CENTERS, -Y_CENTERS[::-1])
+    assert not (Y_CENTERS == 0.0).any()
+    for i, j in DIAGONAL:
+        assert X_CENTERS[i] == Y_CENTERS[j]
+
+
 def test_project_empty_cloud_all_free():
-    grid = project_to_grid([])
-    assert not grid.occupied.any()
+    occupied = project_to_grid([])
+    assert occupied.shape == (GRID_NX, GRID_NY)
+    assert not occupied.any()
 
 
 def test_project_single_point_single_cell():
-    grid = project_to_grid([(1.0, 0.5, 1.0)])
-    assert grid.occupied.sum() == 1
-    i, j = map(int, np.argwhere(grid.occupied)[0])
+    occupied = project_to_grid([(1.0, 0.5, 1.0)])
+    assert occupied.sum() == 1
+    i, j = map(int, np.argwhere(occupied)[0])
     # the occupied cell contains the point
-    assert grid.x_min + i * grid.cell <= 1.0 < grid.x_min + (i + 1) * grid.cell
-    assert grid.y_min + j * grid.cell <= 0.5 < grid.y_min + (j + 1) * grid.cell
+    y_min = -0.5 * GRID_EXTENT_Y
+    assert i * GRID_CELL <= 1.0 < (i + 1) * GRID_CELL
+    assert y_min + j * GRID_CELL <= 0.5 < y_min + (j + 1) * GRID_CELL
 
 
 def test_project_two_points_same_cell_idempotent():
-    grid = project_to_grid([(1.0, 0.5, 1.0), (1.01, 0.51, 0.2)])
-    assert grid.occupied.sum() == 1
+    occupied = project_to_grid([(1.0, 0.5, 1.0), (1.01, 0.51, 0.2)])
+    assert occupied.sum() == 1
 
 
 def test_project_discards_out_of_extent():
-    grid = project_to_grid([(100.0, 0.0, 1.0), (-1.0, 0.0, 1.0)])
-    assert not grid.occupied.any()
+    occupied = project_to_grid([(100.0, 0.0, 1.0), (-1.0, 0.0, 1.0)])
+    assert not occupied.any()
 
 
 # ---------------------------------------------------------------- shadow
 
-def make_grid(nx=40, ny=40, cell=0.05):
-    return OccupancyGrid(cell, 0.0, -ny * cell / 2.0,
-                         np.zeros((nx, ny), dtype=bool))
-
-
 def test_shadow_empty_unchanged():
-    grid = make_grid()
-    out = shadow_fill(grid)
-    assert not out.occupied.any()
+    assert not shadow_fill(mask_of([])).any()
 
 
 def test_shadow_single_cell_fills_ray_behind():
-    grid = make_grid()
-    j_axis = grid.ny // 2  # centers at +cell/2: same-row cells share the angle
-    occ = grid.occupied.copy()
-    occ[10, j_axis] = True
-    grid = OccupancyGrid(grid.cell, grid.x_min, grid.y_min, occ,
-                         sensor_origin=(0.0, float(grid.y_centers()[j_axis])))
-    out = shadow_fill(grid)
-    # every cell behind on the same ray occupied, lateral rows untouched
-    assert out.occupied[10:, j_axis].all()
-    assert not out.occupied[:10, j_axis].any()
-    lateral = out.occupied.copy()
-    lateral[:, j_axis] = False
-    assert not lateral.any()
+    out = shadow_fill(mask_of([DIAGONAL[10]]))
+    # every diagonal cell from the occupied one outward, and nothing else
+    np.testing.assert_array_equal(out, mask_of(DIAGONAL[10:]))
 
 
 def test_shadow_subsumption_of_farther_cell():
-    grid = make_grid()
-    j_axis = grid.ny // 2
-    origin = (0.0, float(make_grid().y_centers()[j_axis]))
-    occ1 = grid.occupied.copy()
-    occ1[10, j_axis] = True
-    near_only = shadow_fill(OccupancyGrid(grid.cell, 0.0, grid.y_min, occ1,
-                                          sensor_origin=origin))
-    occ2 = occ1.copy()
-    occ2[25, j_axis] = True  # on the same ray, farther out
-    both = shadow_fill(OccupancyGrid(grid.cell, 0.0, grid.y_min, occ2,
-                                     sensor_origin=origin))
-    np.testing.assert_array_equal(near_only.occupied, both.occupied)
+    near_only = shadow_fill(mask_of([DIAGONAL[10]]))
+    both = shadow_fill(mask_of([DIAGONAL[10], DIAGONAL[25]]))  # same ray, farther
+    np.testing.assert_array_equal(near_only, both)
 
 
 def test_shadow_idempotent_on_random_grids():
     rng = np.random.default_rng(7)
     for _ in range(10):
-        grid = make_grid()
-        occ = rng.random(grid.occupied.shape) < 0.03
-        grid = OccupancyGrid(grid.cell, grid.x_min, grid.y_min, occ)
-        once = shadow_fill(grid)
-        twice = shadow_fill(once)
-        np.testing.assert_array_equal(once.occupied, twice.occupied)
+        once = shadow_fill(rng.random((GRID_NX, GRID_NY)) < 0.03)
+        np.testing.assert_array_equal(shadow_fill(once), once)
 
 
 @st.composite
-def occupancy_grids(draw):
-    """Grids of 1-30 x 1-30 cells with random occupancy, the sensor at any
-    cell center or on a cell corner."""
-    nx, ny = draw(st.integers(1, 30)), draw(st.integers(1, 30))
-    cell = draw(st.sampled_from([0.02, 0.05, 0.1]))
-    occ = draw(hnp.arrays(bool, (nx, ny)))
-    grid = OccupancyGrid(cell, 0.0, -0.5 * ny * cell, occ)
-    origin = (draw(st.sampled_from(list(grid.x_centers()) + [0.0])),
-              draw(st.sampled_from(list(grid.y_centers()) + [0.0])))
-    return replace(grid, sensor_origin=origin)
+def occupancy_masks(draw):
+    """Masks of up to 40 occupied cells, drawn from the whole lattice or from
+    the 20 x 20 cells just in front of the sensor, where they shadow each
+    other more often."""
+    near = draw(st.booleans())
+    i = st.integers(0, 19 if near else GRID_NX - 1)
+    j = (st.integers(GRID_NY // 2 - 10, GRID_NY // 2 + 9) if near
+         else st.integers(0, GRID_NY - 1))
+    return mask_of(draw(st.lists(st.tuples(i, j), max_size=40)))
 
 
-@given(occupancy_grids())
-def test_shadow_fill_idempotent_property(grid):
-    once = shadow_fill(grid)
-    twice = shadow_fill(once)
-    np.testing.assert_array_equal(twice.occupied, once.occupied)
-    np.testing.assert_array_equal(twice.observed, grid.occupied)
-    # filling the filled grid as if all of it had been observed adds nothing
-    refill = shadow_fill(replace(grid, occupied=once.occupied))
-    np.testing.assert_array_equal(refill.occupied, once.occupied)
+@given(occupancy_masks())
+def test_shadow_fill_idempotent_property(occupied):
+    once = shadow_fill(occupied)
+    np.testing.assert_array_equal(shadow_fill(once), once)
+    assert (once | ~occupied).all()
 
 
 def test_shadow_preserves_original_occupancy():
     rng = np.random.default_rng(8)
-    grid = make_grid()
-    occ = rng.random(grid.occupied.shape) < 0.05
-    out = shadow_fill(OccupancyGrid(grid.cell, grid.x_min, grid.y_min, occ))
-    assert (out.occupied | ~occ).all()  # occ implies out
+    occupied = rng.random((GRID_NX, GRID_NY)) < 0.05
+    out = shadow_fill(occupied)
+    assert (out | ~occupied).all()  # occupied implies out
 
 
 def test_shadow_sight_lines_are_computed_once_and_read_only():
-    """Every frame's grid has one geometry, so shadow_fill computes its
-    sight-line table once, and the shared arrays cannot be written."""
-    grid = project_to_grid(corridor_cloud())
-    geometry = (grid.cell, grid.x_min, grid.y_min, grid.nx, grid.ny,
-                grid.sensor_origin)
-    bins, rng = pipeline._sight_lines(*geometry)
-    shadow_fill(shadow_fill(grid))
-    assert pipeline._sight_lines(*geometry)[0] is bins
+    """Every frame uses the one lattice, so shadow_fill computes its
+    sight-line table once per process, on first use rather than at import,
+    and the shared arrays cannot be written."""
+    bins, rng = pipeline._sight_lines()
+    shadow_fill(shadow_fill(project_to_grid(corridor_cloud())))
+    assert pipeline._sight_lines()[0] is bins
+    assert pipeline._sight_lines.cache_info().misses == 1
     for table in (bins, rng):
         with pytest.raises(ValueError, match="read-only"):
             table[0, 0] = 0
+    env = dict(os.environ, PYTHONPATH=str(Path(pipeline.__file__).parents[1]))
+    fresh = subprocess.run(
+        [sys.executable, "-c", "import rownav.pipeline as p; "
+         "print(p._sight_lines.cache_info().currsize)"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert fresh.stdout.strip() == "0", fresh.stderr
 
 
 # ---------------------------------------------------------------- borders
 
 def test_border_samples_synthetic_corridor():
-    grid = project_to_grid(corridor_cloud())
-    filled = shadow_fill(grid)
-    left, right = extract_border_samples(filled)
+    occupied = project_to_grid(corridor_cloud())
+    left, right = extract_border_samples(occupied, shadow_fill(occupied))
     assert len(left) > 20 and len(right) > 20
     assert np.all(np.abs(left[:, 1] - 0.75) < 0.06)
     assert np.all(np.abs(right[:, 1] + 0.75) < 0.06)
@@ -520,40 +516,32 @@ def test_border_samples_synthetic_corridor():
 def test_border_samples_one_side_empty():
     cloud = corridor_cloud()
     cloud = cloud[cloud[:, 1] > 0]  # keep only the left wall
-    grid = shadow_fill(project_to_grid(cloud))
-    left, right = extract_border_samples(grid)
+    occupied = project_to_grid(cloud)
+    left, right = extract_border_samples(occupied, shadow_fill(occupied))
     assert len(left) > 0
     assert len(right) == 0
 
 
 def test_border_samples_inner_cell_wins():
-    grid = make_grid()
-    ys = grid.y_centers()
-    occ = grid.occupied.copy()
-    j_inner = int(np.argmin(np.abs(ys - 0.75)))
-    j_outer = int(np.argmin(np.abs(ys - 0.95)))
-    occ[12, j_inner] = True
-    occ[12, j_outer] = True
-    left, _ = extract_border_samples(
-        OccupancyGrid(grid.cell, grid.x_min, grid.y_min, occ))
+    j_inner = int(np.argmin(np.abs(Y_CENTERS - 0.75)))
+    j_outer = int(np.argmin(np.abs(Y_CENTERS - 0.95)))
+    occupied = mask_of([(12, j_inner), (12, j_outer)])
+    left, _ = extract_border_samples(occupied, shadow_fill(occupied))
     assert len(left) == 1
-    assert left[0, 1] == pytest.approx(ys[j_inner])
+    assert left[0, 1] == pytest.approx(Y_CENTERS[j_inner])
 
 
-def reference_extract_border_samples(grid):
-    """Per-column loop: in each column up to a side's last observed one,
-    the innermost observed cell of the side, else its innermost filled
-    cell."""
-    xs = grid.x_centers()
-    ys = grid.y_centers()
-    seen = grid.observed if grid.observed is not None else grid.occupied
+def reference_extract_border_samples(seen, filled):
+    """Per-column loop: in each column up to a side's last seen one, the
+    innermost seen cell of the side, else its innermost filled cell."""
+    xs, ys = X_CENTERS, Y_CENTERS
     left_cols = np.nonzero(seen[:, ys > 0.0].any(axis=1))[0]
     right_cols = np.nonzero(seen[:, ys < 0.0].any(axis=1))[0]
     last_left = int(left_cols.max()) if left_cols.size else -1
     last_right = int(right_cols.max()) if right_cols.size else -1
     left, right = [], []
-    for i in range(grid.nx):
-        js_fill = np.nonzero(grid.occupied[i])[0]
+    for i in range(GRID_NX):
+        js_fill = np.nonzero(filled[i])[0]
         if js_fill.size == 0:
             continue
         seen_y = ys[np.nonzero(seen[i])[0]]
@@ -574,27 +562,17 @@ def reference_extract_border_samples(grid):
             np.array(right, dtype=float).reshape(-1, 2))
 
 
-def _grid_from_cells(nx, ny, cells, origin=(0.0, 0.0)):
-    occ = np.zeros((nx, ny), dtype=bool)
-    for i, j in cells:
-        occ[i, j] = True
-    return OccupancyGrid(0.05, 0.0, -0.025 * ny, occ, sensor_origin=origin)
-
-
-@given(occupancy_grids(), st.booleans())
-@example(_grid_from_cells(0, 0, []), False)
-@example(_grid_from_cells(12, 9, []), True)
-@example(_grid_from_cells(1, 9, [(0, 2), (0, 7)]), False)   # one column
-@example(_grid_from_cells(12, 1, [(3, 0)]), True)           # one cell, on y = 0
-# left side seen at columns 2 and 10 only: column 6, on the sight line
-# through the cell of column 2, is read through fill
-@example(_grid_from_cells(12, 16, [(2, 9), (10, 14)],
-                          origin=(0.025, 0.0)), True)
-def test_border_samples_match_per_column_reference(grid, fill):
-    if fill:
-        grid = shadow_fill(grid)
-    got = extract_border_samples(grid)
-    want = reference_extract_border_samples(grid)
+@given(occupancy_masks(), st.booleans())
+@example(mask_of([]), False)
+@example(mask_of([]), True)
+@example(mask_of([(0, GRID_NY // 2 - 3), (0, GRID_NY // 2 + 2)]), False)  # one column
+# left side seen at columns 2 and 10 only: column 6, on the 45 deg sight
+# line through the cell of column 2, is read through fill
+@example(mask_of([DIAGONAL[2], (10, GRID_NY // 2 + 15)]), True)
+def test_border_samples_match_per_column_reference(occupied, fill):
+    filled = shadow_fill(occupied) if fill else occupied
+    got = extract_border_samples(occupied, filled)
+    want = reference_extract_border_samples(occupied, filled)
     for side_got, side_want in zip(got, want):
         assert side_got.shape == side_want.shape
         assert side_got.tobytes() == side_want.tobytes()
