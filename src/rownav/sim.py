@@ -52,25 +52,15 @@ class WorldSpec:
     canopy_overhang: float = 0.0      # plants continue this far past row_length
 
     def validate(self, path: str = "world") -> list[str]:
-        errs = []
-        if not self.row_length > 0:
-            errs.append(f"{path}.row_length: must be > 0")
-        if not self.intra_row_space > 0:
-            errs.append(f"{path}.intra_row_space: must be > 0")
-        if not self.plant_spacing > 0:
-            errs.append(f"{path}.plant_spacing: must be > 0")
-        if not self.plant_radius > 0:
-            errs.append(f"{path}.plant_radius: must be > 0")
-        if not self.plant_height > 0:
-            errs.append(f"{path}.plant_height: must be > 0")
+        errs = [f"{path}.{name}: must be > 0"
+                for name in ("row_length", "intra_row_space", "plant_spacing",
+                             "plant_radius", "plant_height")
+                if not getattr(self, name) > 0]
         if self.canopy_points_per_plant < 1:
             errs.append(f"{path}.canopy_points_per_plant: must be >= 1")
-        if self.noise_sigma < 0:
-            errs.append(f"{path}.noise_sigma: must be >= 0")
-        if self.canopy_overhang < 0:
-            errs.append(f"{path}.canopy_overhang: must be >= 0")
-        if self.seed < 0:
-            errs.append(f"{path}.seed: must be >= 0")
+        errs += [f"{path}.{name}: must be >= 0"
+                 for name in ("noise_sigma", "canopy_overhang", "seed")
+                 if getattr(self, name) < 0]
         if abs(self.curvature) > 0:
             if 1.0 / abs(self.curvature) <= self.intra_row_space:
                 errs.append(f"{path}.curvature: turn radius must exceed the row spacing")
@@ -387,14 +377,14 @@ def run_scenario(world: World, start_pose: QuatPose, camera: CameraSpec,
         detection = None
         theta = heading_of(pose)
         for tgt in list(pending):
-            dist = math.hypot(tgt.x - pose.x1, tgt.y - pose.x2)
+            dx, dy = tgt.x - pose.x1, tgt.y - pose.x2
+            dist = math.hypot(dx, dy)
             if dist <= tgt.standoff + APPROACH_DONE_TOL:
                 pending.remove(tgt)
                 continue
-            bearing = wrap_angle(math.atan2(tgt.y - pose.x2, tgt.x - pose.x1) - theta)
+            bearing = wrap_angle(math.atan2(dy, dx) - theta)
             if dist <= tgt.detection_range and abs(bearing) <= camera.h_fov / 2.0:
                 c, s = math.cos(theta), math.sin(theta)
-                dx, dy = tgt.x - pose.x1, tgt.y - pose.x2
                 detection = Detection(Point2(c * dx + s * dy, -s * dx + c * dy),
                                       tgt.standoff)
                 break

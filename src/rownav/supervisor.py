@@ -8,13 +8,15 @@ of empty views declares the end of the row and stops the rover. Every
 command leaves a tick through one exit, saturated to the NMPC input box
 and recorded with the controller as the applied input.
 
-Everything the controller consumes is expressed in the current rover
-frame, so traversal always queries it from the identity pose. The only
-piece of cross-tick geometry is the remembered world-frame row direction
-(current heading + arctan of the lane slope), which the realignment spin
-steers back to. The reference is deliberately conservative: it takes two
-agreeing lanes to establish, drifts at a bounded rate afterwards, and a
-lane that contradicts it gets rejected outright.
+The controller and the approach law work from the rover-frame origin:
+they read the lane, obstacle points and target in the current rover
+frame and take no pose. The heading is the only pose-derived input left
+in MissionSupervisor.tick. It feeds the one piece of cross-tick geometry,
+the remembered world-frame row direction (current heading + arctan of
+the lane slope), which the realignment spin steers back to. The
+reference is deliberately conservative: it takes two agreeing lanes to
+establish, drifts at a bounded rate afterwards, and a lane that
+contradicts it gets rejected outright.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .core import ControlInput, Point2, QuatPose, heading_of, pose_from, wrap_angle
+from .core import ControlInput, Point2, QuatPose, heading_of, wrap_angle
 from .nmpc import NmpcController, SolverStatus
 from .pipeline import PerceptionResult, PerceptionStatus
 
@@ -39,6 +41,11 @@ class Mode(Enum):
 # Approach completion band: the proportional law decays exponentially, so
 # hitting the standoff distance exactly would take unbounded time.
 APPROACH_DONE_TOL = 0.05
+
+# Approach law gains (1/s): speed per metre beyond the standoff, turn rate
+# per radian of bearing.
+K_RHO = 0.8
+K_ALPHA = 1.5
 
 # The remembered row direction (rad): the rover is aligned with it within
 # ALIGN_TOL, a lane implying one more than MAX_ROW_HEADING_JUMP away is
@@ -99,23 +106,19 @@ def fallback_control(heading_error: float) -> ControlInput:
     return ControlInput(V_DURING_REALIGN, -K_P * heading_error)
 
 
-def target_approach_control(state: QuatPose, target: Point2, standoff: float,
-                            k_rho: float = 0.8, k_alpha: float = 1.5
-                            ) -> ControlInput | None:
-    """Drive toward a point, stopping standoff meters short.
+def target_approach_control(target: Point2, standoff: float) -> ControlInput | None:
+    """Drive toward a rover-frame point, stopping standoff meters short.
 
     Returns None once within the standoff distance (plus the completion
     band). When the target sits more than 90 deg off the nose the rover
     turns in place first. Unsaturated, like fallback_control.
     """
-    dx = target.x - state.x1
-    dy = target.y - state.x2
-    rho = math.hypot(dx, dy)
+    rho = math.hypot(target.x, target.y)
     if rho <= standoff + APPROACH_DONE_TOL:
         return None
-    bearing = wrap_angle(math.atan2(dy, dx) - heading_of(state))
-    v = 0.0 if abs(bearing) > math.pi / 2 else k_rho * (rho - standoff)
-    return ControlInput(v, k_alpha * bearing)
+    bearing = wrap_angle(math.atan2(target.y, target.x))
+    v = 0.0 if abs(bearing) > math.pi / 2 else K_RHO * (rho - standoff)
+    return ControlInput(v, K_ALPHA * bearing)
 
 
 class MissionSupervisor:
@@ -188,8 +191,9 @@ class MissionSupervisor:
         """One control period: update mode, return the command to apply.
 
         pose supplies the heading estimate (odometry on a real platform,
-        simulator truth here); positions are never used for traversal,
-        which stays in the rover frame.
+        simulator truth here), the only pose-derived input: its position
+        is never read, and the controller and the approach law stay in
+        the rover frame.
         """
         st = self.state
         heading = heading_of(pose)
@@ -256,8 +260,8 @@ class MissionSupervisor:
         if st.mode is Mode.TARGET_APPROACH:
             approach = None  # sighting lost or consumed: resume the row
             if detection is not None:
-                approach = target_approach_control(
-                    pose_from(0.0, 0.0, 0.0), detection.target, detection.standoff)
+                approach = target_approach_control(detection.target,
+                                                   detection.standoff)
             if approach is None:
                 st.mode = Mode.TRAVERSE
                 return stop, None, "target reached, resuming row"
@@ -266,8 +270,7 @@ class MissionSupervisor:
         # Traverse proper.
         if perception.ok:
             try:
-                seq = self.nmpc.control_step(pose_from(0.0, 0.0, 0.0),
-                                             perception.lane, perception.obstacles)
+                seq = self.nmpc.control_step(perception.lane, perception.obstacles)
             except Exception as exc:
                 # tick stays total: a solver fault stops the rover and
                 # realigns, and the next OK lane solves from a cold start.

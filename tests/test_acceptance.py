@@ -17,7 +17,7 @@ import pytest
 from rownav.cli import execute_scenario, resolve_config_path
 from rownav.config import load_scenario
 from rownav.core import BorderLine, ControlInput, QuatPose, pose_from
-from rownav.nmpc import (NmpcConfig, _stage_partials, integrate_step,
+from rownav.nmpc import (ORIGIN, NmpcConfig, _stage_partials, integrate_step,
                          meyer_cost, solve, stage_cost, lane_cost, align_cost)
 from rownav.pipeline import (GRID_NX, GRID_NY, LaneModel, PipelineConfig,
                              PerceptionStatus, knn_outlier_filter, process,
@@ -289,30 +289,33 @@ def test_criterion_09_solver_properties():
     cfg = NmpcConfig()
     checked = 0
     for _ in range(50):
-        a = rng.uniform(-0.2, 0.2)
+        # rover-frame lanes: the rover's offset (up to 0.3 m) shifts both
+        # intercepts, and its heading (up to 0.25 rad) widens the slopes
+        a = rng.uniform(-0.45, 0.45)
+        y = rng.uniform(-0.3, 0.3)
         lane = LaneModel(BorderLine(a + rng.uniform(-0.04, 0.04),
-                                    rng.uniform(0.7, 1.5), "left"),
+                                    rng.uniform(0.7, 1.5) - y, "left"),
                          BorderLine(a + rng.uniform(-0.04, 0.04),
-                                    -rng.uniform(0.7, 1.5), "right"), 0.1)
-        pose = pose_from(0.0, rng.uniform(-0.3, 0.3), rng.uniform(-0.25, 0.25))
+                                    -rng.uniform(0.7, 1.5) - y, "right"), 0.1)
         u_prev = ControlInput(rng.uniform(0.0, 0.4), rng.uniform(-0.2, 0.2))
         obstacles = [(rng.uniform(1.2, 2.5), rng.uniform(-0.9, 0.9))]
-        seq = solve(pose, lane, obstacles, u_prev, cfg)
+        seq = solve(lane, obstacles, u_prev, cfg)
 
         # saturation is exact
         for u in seq.inputs:
             assert abs(u.v) <= cfg.v_max and abs(u.omega) <= cfg.omega_max
 
         # never worse than stopping
-        state, prev, zero_cost = pose, u_prev, 0.0
+        state, prev, zero_cost = ORIGIN, u_prev, 0.0
         for _k in range(cfg.horizon_n):
             zero_cost += stage_cost(state, ControlInput(0, 0), prev, lane, cfg)
             prev = ControlInput(0, 0)
         zero_cost += meyer_cost(state, lane, cfg.K_travel)
         assert seq.cost <= zero_cost + 1e-9
 
-        # predicted states chain through the integrator
+        # predicted states start at the origin and chain through the integrator
         state = seq.predicted_states[0]
+        assert state == ORIGIN
         for u, nxt in zip(seq.inputs, seq.predicted_states[1:]):
             state = integrate_step(state, u, cfg.dt)
             for got, want in ((state.x1, nxt.x1), (state.x2, nxt.x2),
@@ -320,11 +323,10 @@ def test_criterion_09_solver_properties():
                 assert abs(got - want) <= 1e-9
 
         # mirrored problem gives mirrored inputs
-        m_pose = QuatPose(pose.x1, -pose.x2, pose.x3, -pose.x4)
         m_lane = LaneModel(BorderLine(-lane.right.a, -lane.right.b, "left"),
                            BorderLine(-lane.left.a, -lane.left.b, "right"),
                            lane.margin)
-        m_seq = solve(m_pose, m_lane, [(ox, -oy) for ox, oy in obstacles],
+        m_seq = solve(m_lane, [(ox, -oy) for ox, oy in obstacles],
                       ControlInput(u_prev.v, -u_prev.omega), cfg)
         for u, mu in zip(seq.inputs, m_seq.inputs):
             assert abs(mu.omega + u.omega) <= 1e-3

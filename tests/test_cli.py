@@ -221,6 +221,41 @@ def test_check_bounds_read_by_scenario_rules(tmp_path, capsys, name, bound):
     assert f"config error: thresholds.{name}: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["run", "check", "sweep-config", "sweep-grid"])
+def test_repeated_yaml_key_is_a_config_error(fast_config, tmp_path, capsys,
+                                             monkeypatch, command):
+    """Every YAML file a command reads goes through one loader, and a
+    mapping there that repeats a key is a config error (exit 2) naming the
+    key and its line, before any scenario runs. Plain YAML loading keeps
+    the last value: `check` would pass mae = 1.0 against the second bound."""
+    runs = []
+    monkeypatch.setattr("rownav.cli.execute_scenario", runs.append)
+    twice = tmp_path / "twice.yaml"
+    metrics = tmp_path / "metrics.json"
+    metrics.write_text(json.dumps({"mae": 1.0}))
+    grid = tmp_path / "grid.yaml"
+    grid.write_text(yaml.safe_dump({"nmpc.K_lane": [0.5, 1.0]}))
+    if command == "check":
+        twice.write_text("mae: 0.01\nmae: 5.0\n")
+        argv = ["check", "--metrics", str(metrics), "--thresholds", str(twice)]
+        key = "mae"
+    elif command == "sweep-grid":
+        twice.write_text("nmpc.K_lane: [0.5]\nnmpc.K_lane: [1.0]\n")
+        argv = ["sweep", "--config", fast_config, "--grid", str(twice)]
+        key = "nmpc.K_lane"
+    else:
+        twice.write_text("max_ticks: 60\nmax_ticks: 5\n")
+        argv = ([command.split("-")[0], "--config", str(twice),
+                 "--out", str(tmp_path / "out")]
+                + (["--grid", str(grid)] if command == "sweep-config" else []))
+        key = "max_ticks"
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (f"config error: {twice}: line 2: key {key!r} "
+                            "repeated in one mapping\n")
+    assert captured.out == "" and runs == [] and not (tmp_path / "out").exists()
+
+
 def test_check_metrics_file_not_an_object_exit_two(tmp_path, capsys):
     metrics = tmp_path / "metrics.json"
     metrics.write_text(json.dumps([1, 2]))

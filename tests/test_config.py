@@ -133,6 +133,32 @@ def test_snapshot_round_trip(tmp_path):
     assert scenario_to_dict(again) == scenario_to_dict(cfg)
 
 
+def test_repeated_key_is_a_config_error(tmp_path):
+    """A mapping that repeats a key, at any depth, is a config error naming
+    the key and its line: plain YAML loading keeps the last value, so the
+    first nmpc block below would be dropped without a word."""
+    path = tmp_path / "twice.yaml"
+    path.write_text("world:\n  seed: 1\n  row_length: 6.0\n  seed: 2\n")
+    with pytest.raises(ConfigError) as exc:
+        load_scenario(str(path))
+    assert exc.value.errors == [f"{path}: line 4: key 'seed' repeated in one mapping"]
+    path.write_text("nmpc:\n  K_travel: 2.0\nnmpc:\n  K_orient: 3.0\n")
+    with pytest.raises(ConfigError) as exc:
+        load_scenario(str(path))
+    assert exc.value.errors == [f"{path}: line 3: key 'nmpc' repeated in one mapping"]
+
+
+def test_merge_key_may_override_a_merged_key(tmp_path):
+    """A key given next to a YAML merge (<<) replaces the merged value, as
+    the merge rules say; it is not a repeated key."""
+    path = tmp_path / "merge.yaml"
+    path.write_text("targets:\n  - &t {x: 1.0, y: 0.5, standoff: 0.6}\n"
+                    "  - {<<: *t, x: 2.0}\n")
+    first, second = load_scenario(str(path)).targets
+    assert (second.x, second.y, second.standoff) == (2.0, 0.5, 0.6)
+    assert first.x == 1.0
+
+
 def test_yaml_load_errors_surface(tmp_path):
     path = tmp_path / "bad.yaml"
     path.write_text("pipeline: [not, a, mapping]")

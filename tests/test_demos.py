@@ -5,9 +5,10 @@ Each demo runs from a copy in a temporary directory, so the files it writes
 TMPDIR) stay out of the source tree. Demo 01 must print the stage counts
 and lane recorded below, so a change to any perception stage shows here.
 Demo 02's post 2 cm off the axis must get a converged plan that turns.
-Demo 04's metric table must read as recorded below, so a change to the
-renderer or the closed loop that moves either sensor's run shows here.
-Demo 03 takes tens of seconds and is left out.
+Demo 03's report of the six bundled runs, wall seconds left out, and
+demo 04's metric table must read as recorded below, so a change to the
+renderer or the closed loop that moves a run shows here. Demo 03 is the
+only one that drives the target approach (sim_target's approach ticks).
 """
 
 import os
@@ -40,6 +41,41 @@ DEMO_01_LINES = [
     "  30 obstacle points forwarded to the controller",
 ]
 
+# Demo 03's lines, with each run's "N s wall" field removed.
+DEMO_03_LINES = [
+    "== sim_straight (87 ticks)",
+    "   completed=True collisions=0 realign_ticks=0 approach_ticks=0",
+    "   clearance=50.4 s  v_avg=0.400 m/s  mae=0.005 m  omega_std=0.016 rad/s  "
+    "heading_std=0.012 rad",
+    "",
+    "== sim_curved (86 ticks)",
+    "   completed=True collisions=0 realign_ticks=0 approach_ticks=0",
+    "   clearance=50.4 s  v_avg=0.400 m/s  mae=0.008 m  omega_std=0.065 rad/s  "
+    "heading_std=0.026 rad",
+    "",
+    "== sim_half_lane (95 ticks)",
+    "   completed=True collisions=0 realign_ticks=8 approach_ticks=0",
+    "   clearance=56.0 s  v_avg=0.360 m/s  mae=0.212 m  omega_std=0.125 rad/s  "
+    "heading_std=0.106 rad",
+    "",
+    "== sim_obstacle (92 ticks)",
+    "   completed=True collisions=0 realign_ticks=2 approach_ticks=0",
+    "   clearance=55.3 s  v_avg=0.366 m/s  mae=0.054 m  omega_std=0.076 rad/s  "
+    "heading_std=0.109 rad",
+    "   closest pass to the obstacle at (10.0, 0.0): 0.42 m",
+    "",
+    "== sim_misaligned (93 ticks)",
+    "   completed=True collisions=0 realign_ticks=7 approach_ticks=0",
+    "   clearance=55.3 s  v_avg=0.365 m/s  mae=0.004 m  omega_std=0.058 rad/s  "
+    "heading_std=0.197 rad",
+    "",
+    "== sim_target (55 ticks)",
+    "   completed=True collisions=0 realign_ticks=0 approach_ticks=9",
+    "   clearance=32.2 s  v_avg=0.380 m/s  mae=0.081 m  omega_std=0.056 rad/s  "
+    "heading_std=0.090 rad",
+    "",
+]
+
 # sensor, seed, clearance, v_avg, omega_std, mae
 DEMO_04_ROWS = [
     "depth camera 42 50.4s 0.400 0.016 0.005",
@@ -50,7 +86,8 @@ DEMO_04_ROWS = [
 
 
 @pytest.mark.parametrize("name", ["01_perception_pipeline", "02_controller_solo",
-                                  "04_sensor_comparison", "05_cli_workflow"])
+                                  "03_closed_loop_runs", "04_sensor_comparison",
+                                  "05_cli_workflow"])
 def test_demo_runs(name, tmp_path):
     script = tmp_path / f"{name}.py"
     shutil.copy(REPO / "demos" / script.name, script)
@@ -69,6 +106,9 @@ def test_demo_runs(name, tmp_path):
         assert len(omegas) == 5 and any(omegas), proc.stdout
     if name == "01_perception_pipeline":
         assert proc.stdout.splitlines() == DEMO_01_LINES, proc.stdout
+    if name == "03_closed_loop_runs":
+        lines = [re.sub(r", \d+ s wall\)$", ")", line) for line in proc.stdout.splitlines()]
+        assert lines == DEMO_03_LINES, proc.stdout
     if name == "04_sensor_comparison":
         rows = [" ".join(line.split()) for line in proc.stdout.splitlines()[1:]]
         assert rows == DEMO_04_ROWS, proc.stdout

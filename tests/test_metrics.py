@@ -116,7 +116,7 @@ def test_path_errors_desired_offset():
 def test_report_fields_and_json():
     log = straight_run()
     rep = compute_report(log, LINE, 20.0)
-    data = json.loads(rep.as_json())
+    data = json.loads(json.dumps(rep.as_dict()))
     assert sorted(data) == ["clearance_time", "collisions", "cum_gamma_avg",
                             "gamma_std", "mae", "mse", "omega_std", "v_avg"]
     assert data["collisions"] == 0

@@ -11,8 +11,8 @@ from rownav import nmpc
 from rownav.cli import resolve_config_path
 from rownav.config import load_scenario
 from rownav.core import BorderLine, ControlInput, QuatPose, heading_of, pose_from
-from rownav.nmpc import (EPS_TAN, PENALTY_GROWTH, PENALTY_ROUNDS, NmpcConfig,
-                         NmpcController, SolverStatus, _stage_partials,
+from rownav.nmpc import (EPS_TAN, ORIGIN, PENALTY_GROWTH, PENALTY_ROUNDS,
+                         NmpcConfig, NmpcController, SolverStatus, _stage_partials,
                          _travel_partials, align_cost, dynamics, integrate_step,
                          lane_cost, meyer_cost, solve, stage_cost)
 from rownav.pipeline import LaneModel
@@ -276,21 +276,22 @@ def clearance(state, obstacle):
 
 def test_solve_centered_goes_full_speed():
     ln = lane(margin=0.3)
-    seq = solve(pose_from(0, 0, 0), ln, [], ControlInput(0, 0), CFG)
+    seq = solve(ln, [], ControlInput(0, 0), CFG)
     assert seq.status is SolverStatus.CONVERGED
     assert seq.inputs[0].v >= 0.95 * CFG.v_max
     assert abs(seq.inputs[0].omega) <= 0.05
 
 
 def test_solve_offset_steers_back_to_center():
-    ln = lane(margin=0.3)
-    seq = solve(pose_from(0, 0.3, 0), ln, [], ControlInput(0, 0), CFG)
+    """The rover 0.3 m left of the centre line: the lane shifted by -0.3 m."""
+    ln = lane(b_l=0.45, b_r=-1.05, margin=0.3)
+    seq = solve(ln, [], ControlInput(0, 0), CFG)
     assert seq.inputs[0].omega < 0.0
 
 
 def test_solve_obstacle_constraint_respected():
     ln = lane(b_l=1.25, b_r=-1.25, margin=0.3)
-    seq = solve(pose_from(0, 0, 0), ln, [(0.5, 0.0)], ControlInput(0, 0), CFG)
+    seq = solve(ln, [(0.5, 0.0)], ControlInput(0, 0), CFG)
     assert seq.max_constraint_violation <= CFG.solver_tol
     for st in seq.predicted_states[1:]:
         g = CFG.R_safe ** 2 - (st.x1 - 0.5) ** 2 - st.x2 ** 2
@@ -300,8 +301,8 @@ def test_solve_obstacle_constraint_respected():
 @pytest.mark.parametrize("obstacles", [None, [], np.empty((0, 2)), np.empty((0, 3))])
 def test_solve_reads_no_obstacle_as_none(obstacles):
     ln = lane(b_l=1.25, b_r=-1.25, margin=0.3)
-    free = solve(pose_from(0, 0, 0), ln, [], ControlInput(0, 0), CFG)
-    seq = solve(pose_from(0, 0, 0), ln, obstacles, ControlInput(0, 0), CFG)
+    free = solve(ln, [], ControlInput(0, 0), CFG)
+    seq = solve(ln, obstacles, ControlInput(0, 0), CFG)
     assert seq.inputs == free.inputs
 
 
@@ -314,14 +315,14 @@ def test_solve_rejects_obstacles_not_m_by_2(obstacles):
     """A (2, 3) array is not read as three 2D points."""
     ln = lane(b_l=1.25, b_r=-1.25, margin=0.3)
     with pytest.raises(ValueError, match=r"\(M, 2\)"):
-        solve(pose_from(0, 0, 0), ln, obstacles, ControlInput(0, 0), CFG)
+        solve(ln, obstacles, ControlInput(0, 0), CFG)
 
 
 def test_solve_infeasible_when_surrounded():
     ln = lane(b_l=1.25, b_r=-1.25, margin=0.3)
     ring = [(0.25 * math.cos(a), 0.25 * math.sin(a))
             for a in np.linspace(0, 2 * math.pi, 16, endpoint=False)]
-    seq = solve(pose_from(0, 0, 0), ln, ring, ControlInput(0, 0), CFG)
+    seq = solve(ln, ring, ControlInput(0, 0), CFG)
     assert seq.status is SolverStatus.INFEASIBLE
 
 
@@ -331,7 +332,7 @@ def test_solve_backs_off_from_inside_r_safe():
     stays in violation, so solve returns the constant-reverse plan."""
     ln = lane(b_l=1.25, b_r=-1.25, margin=0.3)
     post = (0.257, 0.0)
-    seq = solve(pose_from(0, 0, 0), ln, [post], ControlInput(0, 0), CFG)
+    seq = solve(ln, [post], ControlInput(0, 0), CFG)
     assert seq.status is SolverStatus.MAX_ITER
     assert seq.max_constraint_violation == 0.0
     assert seq.inputs == (ControlInput(-CFG.v_max, 0.0),) * CFG.horizon_n
@@ -358,7 +359,7 @@ def test_penalty_rounds_restart_from_the_last_result(monkeypatch):
         return res
 
     monkeypatch.setattr(nmpc, "minimize", recording)
-    solve(pose_from(0, 0, 0), WIDE, [(1.2, 0.0)], ControlInput(CFG.v_max, 0), CFG)
+    solve(WIDE, [(1.2, 0.0)], ControlInput(CFG.v_max, 0), CFG)
     np.testing.assert_array_equal(starts[0], [0.5 * CFG.v_max, 0.0] * CFG.horizon_n)
     for start, previous in zip(starts[1:], results):
         np.testing.assert_array_equal(start, previous)
@@ -382,7 +383,7 @@ def test_lbfgsb_runs_on_one_openblas_thread(monkeypatch):
     before = lib.scipy_openblas_get_num_threads()
     lib.scipy_openblas_set_num_threads(2)
     try:
-        solve(pose_from(0, 0, 0), WIDE, [(1.2, 0.0)], ControlInput(CFG.v_max, 0), CFG)
+        solve(WIDE, [(1.2, 0.0)], ControlInput(CFG.v_max, 0), CFG)
         after = lib.scipy_openblas_get_num_threads()
     finally:
         lib.scipy_openblas_set_num_threads(before)
@@ -396,7 +397,7 @@ def test_post_just_off_the_axis_is_passed(offset):
     plan converges, turns away from the post, clears R_safe within
     solver_tol and ends beyond it."""
     post = (1.2, offset)
-    seq = solve(pose_from(0, 0, 0), WIDE, [post], ControlInput(CFG.v_max, 0), CFG)
+    seq = solve(WIDE, [post], ControlInput(CFG.v_max, 0), CFG)
     assert seq.status is SolverStatus.CONVERGED
     assert seq.max_constraint_violation <= CFG.solver_tol
     assert all(clearance(st, post) <= CFG.solver_tol
@@ -406,50 +407,66 @@ def test_post_just_off_the_axis_is_passed(offset):
 
 
 def _random_instance(rng, with_obstacle=False):
-    drawn = random_lane(rng)
-    ln = LaneModel(drawn.left, drawn.right, 0.1)
-    pose = pose_from(0.0, rng.uniform(-0.3, 0.3), rng.uniform(-0.3, 0.3))
+    """A rover-frame lane, previous input and 0-1 obstacle points. The
+    rover's offset in the row (up to 0.3 m) and its heading (up to 0.3
+    rad) are drawn into the lane: both intercepts shift by -y, and the
+    slopes cover the row's own +-0.25 widened by +-0.3 rad."""
+    a = rng.uniform(-0.6, 0.6)
+    y = rng.uniform(-0.3, 0.3)
+    ln = lane(a_l=a + rng.uniform(-0.05, 0.05), b_l=rng.uniform(0.6, 1.5) - y,
+              a_r=a + rng.uniform(-0.05, 0.05), b_r=-rng.uniform(0.6, 1.5) - y,
+              margin=0.1)
     u_prev = ControlInput(rng.uniform(-0.2, 0.4), rng.uniform(-0.2, 0.2))
     obstacles = []
     if with_obstacle:
         obstacles.append((rng.uniform(1.0, 2.0), rng.uniform(-0.8, 0.8)))
-    return pose, ln, obstacles, u_prev
+    return ln, obstacles, u_prev
 
 
-def _mirror_sequence_checks(seq, mseq, tol=1e-3):
+mirror_instances = st.tuples(
+    st.floats(-0.6, 0.6), st.floats(-0.05, 0.05), st.floats(-0.05, 0.05),
+    st.floats(0.3, 1.8), st.floats(0.3, 1.8),
+    st.floats(-CFG.v_max, CFG.v_max), st.floats(-CFG.omega_max, CFG.omega_max),
+    st.lists(st.tuples(st.floats(0.5, 2.5), st.floats(-0.8, 0.8)), max_size=2))
+
+
+@settings(max_examples=30)
+@given(mirror_instances)
+def test_solver_mirror_symmetry(case):
+    """Over drawn rover-frame lanes (slopes and intercepts), previous
+    inputs and 0-2 obstacle points, the problem mirrored in the rover's
+    axis gives the mirrored plan: (v, -omega) within 1e-3."""
+    a, da_l, da_r, b_l, b_r, v, w, obstacles = case
+    seq = solve(lane(a_l=a + da_l, b_l=b_l, a_r=a + da_r, b_r=-b_r, margin=0.1),
+                obstacles, ControlInput(v, w), CFG)
+    # reflected in the rover's axis, y -> -y: the borders swap sides
+    mseq = solve(lane(a_l=-(a + da_r), b_l=b_r, a_r=-(a + da_l), b_r=-b_l, margin=0.1),
+                 [(ox, -oy) for ox, oy in obstacles], ControlInput(v, -w), CFG)
     for u, mu in zip(seq.inputs, mseq.inputs):
-        assert mu.v == pytest.approx(u.v, abs=tol)
-        assert mu.omega == pytest.approx(-u.omega, abs=tol)
-
-
-def test_solver_mirror_symmetry():
-    rng = np.random.default_rng(4)
-    for _ in range(50):
-        pose, ln, obstacles, u_prev = _random_instance(rng, with_obstacle=True)
-        seq = solve(pose, ln, obstacles, u_prev, CFG)
-        m_pose = QuatPose(pose.x1, -pose.x2, pose.x3, -pose.x4)
-        m_lane = LaneModel(BorderLine(-ln.right.a, -ln.right.b, "left"),
-                           BorderLine(-ln.left.a, -ln.left.b, "right"),
-                           ln.margin)
-        m_obs = [(ox, -oy) for ox, oy in obstacles]
-        m_prev = ControlInput(u_prev.v, -u_prev.omega)
-        mseq = solve(m_pose, m_lane, m_obs, m_prev, CFG)
-        _mirror_sequence_checks(seq, mseq)
+        assert mu.v == pytest.approx(u.v, abs=1e-3)
+        assert mu.omega == pytest.approx(-u.omega, abs=1e-3)
 
 
 def test_solver_saturation_exact():
     rng = np.random.default_rng(5)
     for _ in range(50):
-        pose, ln, obstacles, u_prev = _random_instance(rng)
-        seq = solve(pose, ln, obstacles, u_prev, CFG)
+        ln, obstacles, u_prev = _random_instance(rng)
+        seq = solve(ln, obstacles, u_prev, CFG)
         for u in seq.inputs:
             assert abs(u.v) <= CFG.v_max
             assert abs(u.omega) <= CFG.omega_max
 
 
-def _objective(seq_inputs, pose, ln, u_prev, cfg):
+def _rollout(inputs):
+    states = [ORIGIN]
+    for u in inputs:
+        states.append(integrate_step(states[-1], u, CFG.dt))
+    return states
+
+
+def _objective(seq_inputs, ln, u_prev, cfg):
     total = 0.0
-    state = pose
+    state = ORIGIN
     prev = u_prev
     for u in seq_inputs:
         total += stage_cost(state, u, prev, ln, cfg)
@@ -464,39 +481,39 @@ def test_solver_beats_zero_control_baseline():
     rng = np.random.default_rng(6)
     reverse = [ControlInput(-CFG.v_max, 0.0)] * CFG.horizon_n
     for _ in range(50):
-        pose, ln, obstacles, u_prev = _random_instance(rng)
-        seq = solve(pose, ln, obstacles, u_prev, CFG)
+        ln, obstacles, u_prev = _random_instance(rng)
+        seq = solve(ln, obstacles, u_prev, CFG)
         zero = [ControlInput(0.0, 0.0)] * CFG.horizon_n
-        z_cost = _objective(zero, pose, ln, u_prev, CFG)
+        z_cost = _objective(zero, ln, u_prev, CFG)
         assert seq.cost <= z_cost + 1e-9
-        state, worst = pose, 0.0
-        for u in reverse:
-            state = integrate_step(state, u, CFG.dt)
-            worst = max([worst] + [clearance(state, ob)
-                                   for ob in obstacles])
+        worst = max([0.0] + [clearance(state, ob) for state in _rollout(reverse)[1:]
+                             for ob in obstacles])
         if worst <= CFG.solver_tol:
-            r_cost = _objective(reverse, pose, ln, u_prev, CFG)
+            r_cost = _objective(reverse, ln, u_prev, CFG)
             assert seq.cost <= r_cost + 1e-9
 
 
 def test_solver_beats_warm_start_candidate():
     rng = np.random.default_rng(7)
     for _ in range(20):
-        pose, ln, obstacles, u_prev = _random_instance(rng)
-        first = solve(pose, ln, obstacles, u_prev, CFG)
-        again = solve(pose, ln, obstacles, u_prev, CFG, warm_start=first)
+        ln, obstacles, u_prev = _random_instance(rng)
+        first = solve(ln, obstacles, u_prev, CFG)
+        again = solve(ln, obstacles, u_prev, CFG, warm_start=first)
         shifted = list(first.inputs[1:]) + [first.inputs[-1]]
-        warm_cost = _objective(shifted, pose, ln, u_prev, CFG)
+        warm_cost = _objective(shifted, ln, u_prev, CFG)
         assert again.cost <= warm_cost + 1e-9
 
 
 def test_predicted_state_chaining():
+    """Every plan starts at the rover-frame origin and chains through
+    integrate_step."""
+    assert ORIGIN == pose_from(0.0, 0.0, 0.0)
     rng = np.random.default_rng(8)
     for _ in range(50):
-        pose, ln, obstacles, u_prev = _random_instance(rng)
-        seq = solve(pose, ln, obstacles, u_prev, CFG)
+        ln, obstacles, u_prev = _random_instance(rng)
+        seq = solve(ln, obstacles, u_prev, CFG)
         state = seq.predicted_states[0]
-        assert state == pose
+        assert state == ORIGIN
         for u, nxt in zip(seq.inputs, seq.predicted_states[1:]):
             state = integrate_step(state, u, CFG.dt)
             assert state.x1 == pytest.approx(nxt.x1, abs=1e-9)
@@ -508,9 +525,9 @@ def test_predicted_state_chaining():
 def test_solve_reported_cost_matches_reconstruction():
     rng = np.random.default_rng(9)
     for with_obstacle in [False] * 10 + [True] * 10:
-        pose, ln, obstacles, u_prev = _random_instance(rng, with_obstacle)
-        seq = solve(pose, ln, obstacles, u_prev, CFG)
-        rebuilt = _objective(list(seq.inputs), pose, ln, u_prev, CFG)
+        ln, obstacles, u_prev = _random_instance(rng, with_obstacle)
+        seq = solve(ln, obstacles, u_prev, CFG)
+        rebuilt = _objective(list(seq.inputs), ln, u_prev, CFG)
         assert seq.cost == pytest.approx(rebuilt, rel=1e-12, abs=1e-9)
 
 
@@ -521,18 +538,16 @@ def test_solve_violation_is_worst_obstacle_constraint():
     rng = np.random.default_rng(12)
     instances = [_random_instance(rng, with_obstacle=True) for _ in range(8)]
     for _ in range(4):
-        pose, ln, near, u_prev = _random_instance(rng, with_obstacle=True)
+        ln, near, u_prev = _random_instance(rng, with_obstacle=True)
         far = rng.uniform([2.5, -4.0], [6.0, 4.0], size=(6, 2)).tolist()
         behind = rng.uniform([-6.0, -4.0], [-2.5, 4.0], size=(2, 2)).tolist()
-        instances.append((pose, ln, far[:3] + near + behind + far[3:], u_prev))
+        instances.append((ln, far[:3] + near + behind + far[3:], u_prev))
     ring = [(0.25 * math.cos(a), 0.25 * math.sin(a))
             for a in np.linspace(0, 2 * math.pi, 16, endpoint=False)]
-    instances.append((pose_from(0, 0, 0),
-                      lane(b_l=1.25, b_r=-1.25, margin=0.3),
-                      ring, ControlInput(0, 0)))
+    instances.append((lane(b_l=1.25, b_r=-1.25, margin=0.3), ring, ControlInput(0, 0)))
     violated = 0
-    for pose, ln, obstacles, u_prev in instances:
-        seq = solve(pose, ln, obstacles, u_prev, CFG)
+    for ln, obstacles, u_prev in instances:
+        seq = solve(ln, obstacles, u_prev, CFG)
         worst = max(clearance(st, ob)
                     for st in seq.predicted_states[1:] for ob in obstacles)
         assert seq.max_constraint_violation == pytest.approx(
@@ -553,12 +568,12 @@ def test_solve_status_describes_returned_plan(monkeypatch, plan_v, success,
     monkeypatch.setattr(nmpc, "minimize", lambda *args, **kwargs: OptimizeResult(
         x=plan.copy(), success=success, nit=1))
     ln = lane(margin=0.3)
-    seq = solve(pose_from(0, 0, 0), ln, [], ControlInput(0, 0), CFG)
+    seq = solve(ln, [], ControlInput(0, 0), CFG)
     assert [u.v for u in seq.inputs] == [max(plan_v, 0.0)] * CFG.horizon_n
     assert seq.status is expected
 
 
-def _captured_objective(monkeypatch, pose, ln, obstacles, u_prev, cfg=CFG):
+def _captured_objective(monkeypatch, ln, obstacles, u_prev, cfg=CFG):
     """The penalized objective solve hands to minimize, and its args."""
     seen = []
 
@@ -567,18 +582,18 @@ def _captured_objective(monkeypatch, pose, ln, obstacles, u_prev, cfg=CFG):
         return OptimizeResult(x=np.array(x0), success=True, nit=0)
 
     monkeypatch.setattr(nmpc, "minimize", stub)
-    solve(pose, ln, obstacles, u_prev, cfg)
+    solve(ln, obstacles, u_prev, cfg)
     return seen[0]
 
 
-def _float64_objective(u_flat, mu, pose, ln, obstacles, u_prev, cfg):
-    """Reference: the objective summed on np.float64 scalars, the inputs
-    and obstacle coordinates read straight out of their arrays, over the
-    same module kernels and in the same order as solve."""
+def _float64_objective(u_flat, mu, ln, obstacles, u_prev, cfg):
+    """Reference: the objective summed on np.float64 scalars from the
+    origin, the inputs and obstacle coordinates read straight out of their
+    arrays, over the same module kernels and in the same order as solve."""
     n = cfg.horizon_n
     obs = np.asarray(obstacles, dtype=float).reshape(-1, 2)
     r2 = cfg.R_safe * cfg.R_safe
-    states = [(pose.x1, pose.x2, pose.x3, pose.x4)]
+    states = [(0.0, 0.0, 1.0, 0.0)]
     cost = 0.0
     pv, pw = u_prev.v, u_prev.omega
     for k in range(n):
@@ -605,15 +620,15 @@ def test_objective_runs_on_floats_bit_equal_to_float64_loop(monkeypatch):
     lo = np.array([-CFG.v_max, -CFG.omega_max] * CFG.horizon_n)
     checked = 0
     for n_obs in [0] * 4 + [1, 3, 8, 16]:
-        pose, ln, _, u_prev = _random_instance(rng)
+        ln, _, u_prev = _random_instance(rng)
         obstacles = rng.uniform([0.0, -0.6], [1.5, 0.6], size=(n_obs, 2))
-        fun, args = _captured_objective(monkeypatch, pose, ln, obstacles, u_prev)
+        fun, args = _captured_objective(monkeypatch, ln, obstacles, u_prev)
         for _ in range(25):
             u = rng.uniform(lo, -lo)
             mu = args[0] * PENALTY_GROWTH ** int(rng.integers(0, 8))
             got, _ = fun(u, mu)
             assert type(got) is float
-            ref = _float64_objective(u, mu, pose, ln, obstacles, u_prev, CFG)
+            ref = _float64_objective(u, mu, ln, obstacles, u_prev, CFG)
             assert got.hex() == float(ref).hex()
             checked += 1
     assert checked == 200
@@ -641,13 +656,13 @@ GRAD_RTOL = 1e-6
 FINE_STEP = 6e-7    # a tenth of approx_derivative's default 3-point step
 
 
-def _assert_gradient_close(g, u, mu, pose, ln, obstacles, u_prev, cfg):
+def _assert_gradient_close(g, u, mu, ln, obstacles, u_prev, cfg):
     lo = np.array([-cfg.v_max, -cfg.omega_max] * cfg.horizon_n)
 
     def central(step):
         return approx_derivative(_float64_objective, u, method="3-point",
                                  abs_step=step, bounds=(lo, -lo),
-                                 args=(mu, pose, ln, obstacles, u_prev, cfg))
+                                 args=(mu, ln, obstacles, u_prev, cfg))
 
     coarse, fine = central(None), central(FINE_STEP)
     tol = GRAD_RTOL * max(1.0, np.abs(fine).max()) + np.abs(coarse - fine)
@@ -665,76 +680,81 @@ def test_objective_gradient_bit_equal_to_approx_derivative(monkeypatch):
     hi = -lo
     checked = on_face = 0
     for n_obs in [0] * 4 + [1, 3, 8, 16]:
-        pose, ln, _, u_prev = _random_instance(rng)
+        ln, _, u_prev = _random_instance(rng)
         obstacles = rng.uniform([0.0, -0.6], [1.5, 0.6], size=(n_obs, 2))
-        fun, args = _captured_objective(monkeypatch, pose, ln, obstacles, u_prev)
+        fun, args = _captured_objective(monkeypatch, ln, obstacles, u_prev)
         for j in range(25):
             n_faces = int(rng.integers(1, 5)) if j % 2 == 0 else 0
             u = _box_point(rng, lo, n_faces, int(rng.integers(0, 3)))
             mu = args[0] * PENALTY_GROWTH ** int(rng.integers(0, 8))
             f, g = fun(u, mu)
-            ref = _float64_objective(u, mu, pose, ln, obstacles, u_prev, CFG)
+            ref = _float64_objective(u, mu, ln, obstacles, u_prev, CFG)
             assert f.hex() == float(ref).hex()
-            _assert_gradient_close(g, u, mu, pose, ln, obstacles, u_prev, CFG)
+            _assert_gradient_close(g, u, mu, ln, obstacles, u_prev, CFG)
             checked += 1
             on_face += bool(np.any(np.abs(u) == hi))
     assert checked == 200 and on_face >= checked // 3
 
 
 def test_objective_gradient_where_the_slope_floor_binds(monkeypatch):
-    """Started at a heading of +-90 deg and turning at most 5e-5 rad/s, every
-    predicted heading pair has |x3^2 - x4^2| < EPS_TAN, where _align_term
-    floors it; the gradient is the floored branch's. K_orient is 1e-4 so
-    that the floored slope, 1e3, leaves the objective small enough for a
-    central difference to resolve its gradient."""
-    cfg = NmpcConfig(K_orient=1e-4)
+    """Plans that turn through a heading of +-90 deg: the first three steps
+    turn by +-pi/6 each, near omega = +-pi/4.2 rad/s (so omega_max is 1.0
+    here), and the last two by at most 5e-5 rad, so the predicted heading
+    pairs after steps 3 and 4 have |x3^2 - x4^2| < EPS_TAN, where
+    _align_term floors it; the gradient is the floored branch's. K_orient
+    is 1e-4 so that the floored slope, 1e3, leaves the objective small
+    enough for a central difference to resolve its gradient."""
+    cfg = NmpcConfig(K_orient=1e-4, omega_max=1.0)
     rng = np.random.default_rng(24)
-    lo = np.array([-cfg.v_max, -cfg.omega_max] * cfg.horizon_n)
-    for theta in (math.pi / 2, -math.pi / 2):
-        pose, ln = pose_from(0.0, 0.1, theta), lane(margin=0.1)
-        u_prev = ControlInput(0.1, 0.0)
-        fun, args = _captured_objective(monkeypatch, pose, ln, [], u_prev, cfg)
+    ln, u_prev = lane(margin=0.1), ControlInput(0.1, 0.0)
+    fun, args = _captured_objective(monkeypatch, ln, [], u_prev, cfg)
+    for sign in (1.0, -1.0):
+        turn = sign * math.pi / (6.0 * cfg.dt)
         for _ in range(10):
-            u = rng.uniform(lo, -lo) * np.array([1.0, 1e-4] * cfg.horizon_n)
+            v = rng.uniform(-cfg.v_max, cfg.v_max, cfg.horizon_n)
+            w = rng.uniform(-1e-4, 1e-4, cfg.horizon_n) * cfg.omega_max
+            w[:3] = turn + rng.uniform(-1e-5, 1e-5, 3)
+            u = np.column_stack([v, w]).ravel()
+            states = _rollout([ControlInput(*p) for p in u.reshape(-1, 2)])
+            assert all(abs(s.x3 ** 2 - s.x4 ** 2) < EPS_TAN for s in states[3:5])
             f, g = fun(u, args[0])
-            ref = _float64_objective(u, args[0], pose, ln, [], u_prev, cfg)
+            ref = _float64_objective(u, args[0], ln, [], u_prev, cfg)
             assert f.hex() == float(ref).hex()
-            _assert_gradient_close(g, u, args[0], pose, ln, [], u_prev, cfg)
+            _assert_gradient_close(g, u, args[0], ln, [], u_prev, cfg)
 
 
-def _on_circle(rng, cx, cy, radii):
+def _on_circle(rng, radii):
     angle = rng.uniform(-math.pi, math.pi, len(radii))
-    return np.column_stack([cx + radii * np.cos(angle), cy + radii * np.sin(angle)])
+    return np.column_stack([radii * np.cos(angle), radii * np.sin(angle)])
 
 
-def _reach_radii(pose, cfg):
-    """R_safe, then every step's reach circle around the start, R_safe +
-    (k+1) 1.1 v_max dt max(1, x3^2+x4^2) + 1e-6."""
-    reach = 1.1 * cfg.v_max * cfg.dt * max(1.0, pose.x3 ** 2 + pose.x4 ** 2)
+def _reach_radii(cfg):
+    """R_safe, then every step's reach circle around the origin, R_safe +
+    (k+1) 1.1 v_max dt + 1e-6."""
+    reach = 1.1 * cfg.v_max * cfg.dt
     return [cfg.R_safe] + [cfg.R_safe + (k + 1) * reach + 1e-6
                            for k in range(cfg.horizon_n)]
 
 
-def _edge_obstacles(rng, pose, cfg):
-    """Obstacles around pose: a 0.5 m lattice over a 6 x 8 m grid, points on
-    every step's reach circle moved 1e-6 to 1e-3 m in or out, and points
-    at R_safe."""
-    cx, cy = pose.x1, pose.x2
+def _edge_obstacles(rng, cfg):
+    """Obstacles around the origin: a 0.5 m lattice over a 6 x 8 m grid,
+    points on every step's reach circle moved 1e-6 to 1e-3 m in or out,
+    and points at R_safe."""
     gx, gy = np.meshgrid(np.linspace(-3.0, 3.0, 13), np.linspace(-4.0, 4.0, 17))
-    points = [np.column_stack([cx + gx.ravel(), cy + gy.ravel()])]
-    radii = _reach_radii(pose, cfg)
+    points = [np.column_stack([gx.ravel(), gy.ravel()])]
+    radii = _reach_radii(cfg)
     for radius in radii[1:]:
         shift = rng.choice([-1.0, 1.0], 8) * 10.0 ** rng.uniform(-6, -3, 8)
-        points.append(_on_circle(rng, cx, cy, radius + shift))
-    points.append(_on_circle(rng, cx, cy, np.full(8, radii[0])))
+        points.append(_on_circle(rng, radius + shift))
+    points.append(_on_circle(rng, np.full(8, radii[0])))
     return np.concatenate(points)
 
 
-def _matches_all_obstacle_loop(f, g, u, mu, pose, ln, obstacles, u_prev, cfg):
+def _matches_all_obstacle_loop(f, g, u, mu, ln, obstacles, u_prev, cfg):
     """Assert that f is the bits of the reference objective, which loops
     over every obstacle, and that g matches its central difference; return
     whether the clearance penalty is active at u."""
-    args = (pose, ln, obstacles, u_prev, cfg)
+    args = (ln, obstacles, u_prev, cfg)
     ref = _float64_objective(u, mu, *args)
     assert f.hex() == float(ref).hex()
     _assert_gradient_close(g, u, mu, *args)
@@ -744,36 +764,29 @@ def _matches_all_obstacle_loop(f, g, u, mu, pose, ln, obstacles, u_prev, cfg):
 def test_objective_bit_equal_to_all_obstacle_reference_at_reach_edges(monkeypatch):
     """solve drops the obstacles no state of step k can reach; the objective
     stays bit-equal to the reference loop over every obstacle, and its
-    gradient matches that loop's central difference. Starts lie off the
-    origin, heading pairs have x3^2 + x4^2 from 0.25 to 4, and two thirds
-    of the inputs have 2 to 6 coordinates on the box faces, where the plan
-    moves furthest."""
+    gradient matches that loop's central difference. Two thirds of the
+    inputs have 2 to 6 coordinates on the box faces, where the plan moves
+    furthest."""
     rng = np.random.default_rng(23)
     lo = np.array([-CFG.v_max, -CFG.omega_max] * CFG.horizon_n)
     checked = penalised = 0
-    for scale2 in (0.25, 1.0, 1.0, 2.0, 4.0, 4.0):
-        _, ln, _, u_prev = _random_instance(rng)
-        half = rng.uniform(-math.pi / 2, math.pi / 2)
-        s = math.sqrt(scale2)
-        pose = QuatPose(rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0),
-                        s * math.cos(half), s * math.sin(half))
-        obstacles = _edge_obstacles(rng, pose, CFG)
-        fun, args = _captured_objective(monkeypatch, pose, ln, obstacles, u_prev)
+    for _ in range(6):
+        ln, _, u_prev = _random_instance(rng)
+        obstacles = _edge_obstacles(rng, CFG)
+        fun, args = _captured_objective(monkeypatch, ln, obstacles, u_prev)
         for j in range(20):
             n_faces = int(rng.integers(2, 7)) if j % 3 else 0
             u = _box_point(rng, lo, n_faces, 0)
             mu = args[0] * PENALTY_GROWTH ** int(rng.integers(0, 8))
             f, g = fun(u, mu)
             penalised += _matches_all_obstacle_loop(
-                f, g, u, mu, pose, ln, obstacles, u_prev, CFG)
+                f, g, u, mu, ln, obstacles, u_prev, CFG)
             checked += 1
     assert checked == 120 and penalised >= checked // 2
 
 
 adjoint_cases = st.tuples(
     st.floats(-0.25, 0.25), st.floats(0.6, 1.5), st.floats(0.6, 1.5),
-    st.floats(-3.0, 3.0), st.floats(-3.0, 3.0),
-    st.floats(0.25, 4.0), st.floats(-math.pi / 2, math.pi / 2),
     st.lists(st.tuples(st.integers(0, CFG.horizon_n), st.floats(-math.pi, math.pi),
                        st.floats(-1e-3, 1e-3)), min_size=1, max_size=12),
     st.lists(st.sampled_from([-1.0, 1.0]) | st.floats(-1.0, 1.0),
@@ -785,26 +798,24 @@ adjoint_cases = st.tuples(
 @given(adjoint_cases)
 def test_objective_gradient_matches_central_differences_property(case):
     """The adjoint gradient matches scipy's central difference of the
-    reference loop, as _assert_gradient_close states: random lanes, starts whose heading
-    pair has x3^2 + x4^2 from 0.25 to 4, obstacles within 1e-3 m of R_safe
-    or of a reach circle around the start, inputs drawn on the box faces
-    as often as inside, and every penalty weight of the loop."""
-    a, b_l, b_r, x, y, scale2, half, placed, frac, e = case
+    reference loop, as _assert_gradient_close states: random lanes,
+    obstacles within 1e-3 m of R_safe or of a reach circle around the
+    origin, inputs drawn on the box faces as often as inside, and every
+    penalty weight of the loop."""
+    a, b_l, b_r, placed, frac, e = case
     ln = lane(a_l=a, b_l=b_l, a_r=a, b_r=-b_r, margin=0.1)
-    s = math.sqrt(scale2)
-    pose = QuatPose(x, y, s * math.cos(half), s * math.sin(half))
-    radii = _reach_radii(pose, CFG)
-    obstacles = [(x + (radii[j] + dr) * math.cos(t), y + (radii[j] + dr) * math.sin(t))
+    radii = _reach_radii(CFG)
+    obstacles = [((radii[j] + dr) * math.cos(t), (radii[j] + dr) * math.sin(t))
                  for j, t, dr in placed]
     u_prev = ControlInput(0.1, -0.05)
     u = np.array(frac) * np.array([CFG.v_max, CFG.omega_max] * CFG.horizon_n)
     with pytest.MonkeyPatch.context() as mp:
-        fun, args = _captured_objective(mp, pose, ln, obstacles, u_prev)
+        fun, args = _captured_objective(mp, ln, obstacles, u_prev)
     mu = args[0] * PENALTY_GROWTH ** e
     f, g = fun(u, mu)
-    ref = _float64_objective(u, mu, pose, ln, obstacles, u_prev, CFG)
+    ref = _float64_objective(u, mu, ln, obstacles, u_prev, CFG)
     assert f.hex() == float(ref).hex()
-    _assert_gradient_close(g, u, mu, pose, ln, obstacles, u_prev, CFG)
+    _assert_gradient_close(g, u, mu, ln, obstacles, u_prev, CFG)
 
 
 def test_objective_bit_equal_on_the_solves_of_the_post_pass(monkeypatch):
@@ -821,7 +832,7 @@ def test_objective_bit_equal_on_the_solves_of_the_post_pass(monkeypatch):
     real_solve, real_minimize = nmpc.solve, nmpc.minimize
 
     def recording_solve(*args, **kwargs):
-        solve_args.append(args[:4])
+        solve_args.append(args[:3])
         return real_solve(*args, **kwargs)
 
     def checking_minimize(fun, x0, args=(), **kwargs):
@@ -843,28 +854,30 @@ def test_objective_bit_equal_on_the_solves_of_the_post_pass(monkeypatch):
                        cfg.camera, cfg.pipeline, ncfg, cfg.fallback,
                        cfg.targets, 60)
     assert not log.collision and log.records[-1].pose.x1 > 12.0
-    assert sum(len(args[2]) > 0 for args in solve_args) >= 40
+    assert sum(len(args[1]) > 0 for args in solve_args) >= 40
     assert checked >= 100 and penalised >= 30
 
 
 box_instances = st.tuples(
-    st.floats(-0.25, 0.25), st.floats(0.6, 1.5), st.floats(0.6, 1.5),
-    st.floats(-0.3, 0.3), st.floats(-0.3, 0.3),
+    st.floats(-0.6, 0.6), st.floats(0.6, 1.5), st.floats(0.6, 1.5),
+    st.floats(-0.3, 0.3),
     st.floats(-CFG.v_max, CFG.v_max), st.floats(-CFG.omega_max, CFG.omega_max),
     st.lists(st.tuples(st.floats(0.0, 2.5), st.floats(-0.8, 0.8)), max_size=3))
 
 
 def _box_instance(case):
-    a, b_l, b_r, y, theta, v, w, obstacles = case
-    ln = lane(a_l=a, b_l=b_l, a_r=a, b_r=-b_r, margin=0.1)
-    return pose_from(0.0, y, theta), ln, obstacles, ControlInput(v, w)
+    """A rover-frame lane, obstacle points and previous input; the rover's
+    offset y in the row shifts both intercepts by -y."""
+    a, b_l, b_r, y, v, w, obstacles = case
+    ln = lane(a_l=a, b_l=b_l - y, a_r=a, b_r=-b_r - y, margin=0.1)
+    return ln, obstacles, ControlInput(v, w)
 
 
 @settings(max_examples=12)
 @given(box_instances)
 def test_solve_inputs_inside_box_property(case):
-    pose, ln, obstacles, u_prev = _box_instance(case)
-    seq = solve(pose, ln, obstacles, u_prev, CFG)
+    ln, obstacles, u_prev = _box_instance(case)
+    seq = solve(ln, obstacles, u_prev, CFG)
     for u in seq.inputs:
         assert -CFG.v_max <= u.v <= CFG.v_max
         assert -CFG.omega_max <= u.omega <= CFG.omega_max
@@ -873,36 +886,29 @@ def test_solve_inputs_inside_box_property(case):
 @settings(max_examples=12)
 @given(box_instances)
 def test_solve_never_worse_than_feasible_stop_property(case):
-    pose, ln, obstacles, u_prev = _box_instance(case)
-    assume(all(clearance(pose, ob) <= CFG.solver_tol
+    ln, obstacles, u_prev = _box_instance(case)
+    assume(all(clearance(ORIGIN, ob) <= CFG.solver_tol
                for ob in obstacles))
-    seq = solve(pose, ln, obstacles, u_prev, CFG)
+    seq = solve(ln, obstacles, u_prev, CFG)
     zero = [ControlInput(0.0, 0.0)] * CFG.horizon_n
     assert seq.status is not SolverStatus.INFEASIBLE
-    assert seq.cost <= _objective(zero, pose, ln, u_prev, CFG) + 1e-9
+    assert seq.cost <= _objective(zero, ln, u_prev, CFG) + 1e-9
 
 
 plan_instances = box_instances.map(lambda case: case[:-1] + (case[-1][:2],))
 
 
-def _rollout(inputs, pose):
-    states = [pose]
-    for u in inputs:
-        states.append(integrate_step(states[-1], u, CFG.dt))
-    return states
-
-
 @settings(max_examples=25)
 @given(plan_instances)
 def test_solve_plan_properties(case):
-    """Over drawn lanes, poses, previous inputs and 0-2 obstacle points, the
-    plan solve returns: lies in the input box exactly; costs no more than
-    the zero plan or constant reverse where that baseline clears every
-    point within solver_tol; chains through integrate_step; and reports as
-    its violation max(0, R_safe^2 - d^2) over its predicted states after
-    the first and every point."""
-    pose, ln, obstacles, u_prev = _box_instance(case)
-    seq = solve(pose, ln, obstacles, u_prev, CFG)
+    """Over drawn lanes, offsets, previous inputs and 0-2 obstacle points,
+    the plan solve returns: lies in the input box exactly; costs no more
+    than the zero plan or constant reverse where that baseline clears
+    every point within solver_tol; starts at ORIGIN and chains through
+    integrate_step; and reports as its violation max(0, R_safe^2 - d^2)
+    over its predicted states after the first and every point."""
+    ln, obstacles, u_prev = _box_instance(case)
+    seq = solve(ln, obstacles, u_prev, CFG)
     for u in seq.inputs:
         assert -CFG.v_max <= u.v <= CFG.v_max
         assert -CFG.omega_max <= u.omega <= CFG.omega_max
@@ -910,11 +916,11 @@ def test_solve_plan_properties(case):
     for plan in ([ControlInput(0.0, 0.0)] * CFG.horizon_n,
                  [ControlInput(-CFG.v_max, 0.0)] * CFG.horizon_n):
         if all(clearance(state, ob) <= CFG.solver_tol
-               for state in _rollout(plan, pose)[1:] for ob in obstacles):
-            assert seq.cost <= _objective(plan, pose, ln, u_prev, CFG) + 1e-9
+               for state in _rollout(plan)[1:] for ob in obstacles):
+            assert seq.cost <= _objective(plan, ln, u_prev, CFG) + 1e-9
 
-    assert seq.predicted_states[0] == pose
-    for state, nxt in zip(_rollout(seq.inputs, pose)[1:], seq.predicted_states[1:]):
+    assert seq.predicted_states[0] == ORIGIN
+    for state, nxt in zip(_rollout(seq.inputs)[1:], seq.predicted_states[1:]):
         for got, want in ((state.x1, nxt.x1), (state.x2, nxt.x2),
                           (state.x3, nxt.x3), (state.x4, nxt.x4)):
             assert abs(got - want) <= 1e-9
@@ -929,21 +935,23 @@ def test_solve_plan_properties(case):
 def test_control_step_matches_solve_first_input():
     ln = lane(margin=0.3)
     ctrl = NmpcController(NmpcConfig())
-    seq = ctrl.control_step(pose_from(0, 0, 0), ln, [])
-    assert seq == solve(pose_from(0, 0, 0), ln, [], ControlInput(0, 0), NmpcConfig())
+    seq = ctrl.control_step(ln, [])
+    assert seq == solve(ln, [], ControlInput(0, 0), NmpcConfig())
     assert ctrl.last_sequence is seq
     assert ctrl._u_prev == seq.inputs[0]
 
 
 def test_control_step_deterministic_across_instances():
-    ln = lane(a_l=0.05, a_r=0.03, margin=0.2)
-    obstacles = [(1.5, 0.2)]
+    """The rover 0.1 m left of the row and turned 0.05 rad to its left:
+    the lane shifted by -0.1 m and its slopes turned by -0.05."""
+    ln = lane(a_l=0.0, b_l=0.65, a_r=-0.02, b_r=-0.85, margin=0.2)
+    obstacles = [(1.5, 0.1)]
     cmds = []
     for _ in range(2):
         ctrl = NmpcController(NmpcConfig())
         steps = []
         for _k in range(3):
-            steps.append(ctrl.control_step(pose_from(0, 0.1, 0.05), ln, obstacles))
+            steps.append(ctrl.control_step(ln, obstacles))
         cmds.append(steps)
     assert cmds[0] == cmds[1]
 
@@ -952,11 +960,11 @@ def test_control_step_infeasible_clears_warm_start():
     """An INFEASIBLE plan is returned, not raised, and leaves no warm start."""
     ln = lane(b_l=1.25, b_r=-1.25, margin=0.3)
     ctrl = NmpcController(NmpcConfig())
-    ctrl.control_step(pose_from(0, 0, 0), ln, [])
+    ctrl.control_step(ln, [])
     assert ctrl.last_sequence is not None
     ring = [(0.25 * math.cos(a), 0.25 * math.sin(a))
             for a in np.linspace(0, 2 * math.pi, 16, endpoint=False)]
-    seq = ctrl.control_step(pose_from(0, 0, 0), ln, ring)
+    seq = ctrl.control_step(ln, ring)
     assert seq.status is SolverStatus.INFEASIBLE
     assert seq.max_constraint_violation > CFG.solver_tol
     assert ctrl.last_sequence is None

@@ -64,12 +64,12 @@ def test_fallback_sign_symmetry(monkeypatch):
 # ---------------------------------------------------------------- approach law
 
 def test_approach_done_at_standoff():
-    out = target_approach_control(pose_from(0, 0, 0), Point2(0.5, 0.0), 0.5)
+    out = target_approach_control(Point2(0.5, 0.0), 0.5)
     assert out is None
 
 
 def test_approach_straight_ahead():
-    out = target_approach_control(pose_from(0, 0, 0), Point2(2.0, 0.0), 0.5)
+    out = target_approach_control(Point2(2.0, 0.0), 0.5)
     assert out.omega == pytest.approx(0.0)
     assert out.v > 0.0
 
@@ -78,7 +78,7 @@ def test_approach_behind_turns_in_place():
     """A target behind gives a spin in place toward it, which tick
     saturates to omega_max."""
     target = Point2(-2.0, 1e-6)
-    out = target_approach_control(pose_from(0, 0, 0), target, 0.5)
+    out = target_approach_control(target, 0.5)
     assert out.v == 0.0
     assert out.omega == pytest.approx(1.5 * math.pi)
     sup = make_supervisor()
