@@ -13,10 +13,10 @@ import numpy as np
 
 from rownav.cloud_io import write_pgm
 from rownav.core import pose_from
-from rownav.pipeline import (KNN_K, KNN_STD_RATIO, Z_TH_MAX, Z_TH_MIN,
-                             PipelineConfig, fov_empty_check, height_crop,
-                             knn_outlier_filter, project_to_grid, shadow_fill,
-                             process, voxel_downsample)
+from rownav.pipeline import (F_POINTS, KNN_K, KNN_STD_RATIO, R_V, Z_TH_MAX,
+                             Z_TH_MIN, PipelineConfig, fov_empty_check,
+                             height_crop, knn_outlier_filter, project_to_grid,
+                             shadow_fill, process, voxel_downsample)
 from rownav.sim import CameraSpec, WorldSpec, generate_world, render_cloud
 
 out_dir = os.path.dirname(os.path.abspath(__file__))
@@ -29,9 +29,8 @@ cloud = render_cloud(world, pose, camera, np.random.default_rng(1))
 print(f"rendered frame: {len(cloud)} points "
       f"(z from {cloud[:, 2].min():.2f} to {cloud[:, 2].max():.2f} m)")
 
-cfg = PipelineConfig()
-down = voxel_downsample(cloud, cfg.r_v)
-print(f"voxel downsample @ {cfg.r_v} m: {len(down)} points")
+down = voxel_downsample(cloud, R_V)
+print(f"voxel downsample @ {R_V} m: {len(down)} points")
 
 filtered = knn_outlier_filter(down, KNN_K, KNN_STD_RATIO)
 print(f"k-NN noise filter (k={KNN_K}): {len(filtered)} points")
@@ -39,8 +38,8 @@ print(f"k-NN noise filter (k={KNN_K}): {len(filtered)} points")
 cropped = height_crop(filtered, Z_TH_MIN, Z_TH_MAX)
 frac = len(cropped) / len(filtered)
 print(f"height crop [{Z_TH_MIN}, {Z_TH_MAX}] m: {len(cropped)} points "
-      f"({frac:.0%} survive; empty-view threshold is {cfg.f_points:.0%})")
-assert not fov_empty_check(len(cropped), len(filtered), cfg.f_points)
+      f"({frac:.0%} survive; empty-view threshold is {F_POINTS:.0%})")
+assert not fov_empty_check(len(cropped), len(filtered), F_POINTS)
 
 occupied = project_to_grid(cropped)
 write_pgm(occupied, os.path.join(out_dir, "grid_raw.pgm"))
@@ -50,7 +49,7 @@ print(f"occupancy grid: {occupied.sum()} cells occupied, "
       f"{filled.sum()} after occlusion fill "
       "(see grid_raw.pgm / grid_filled.pgm)")
 
-result = process(cloud, cfg)
+result = process(cloud, PipelineConfig())
 lane = result.lane
 print(f"\npipeline verdict: {result.status.value}")
 print(f"  left border   y = {lane.left.a:+.3f} x + {lane.left.b:+.3f}")

@@ -30,10 +30,15 @@ from .core import BorderLine
 
 LANE_MODES = ("full", "right_half", "left_half")
 
+# Voxel side, m, of the downsampling lattice.
+R_V = 0.05
+
 # Height crop, m: points below Z_TH_MIN (ground) or above Z_TH_MAX (canopy
-# overhang) are not row evidence.
+# overhang) are not row evidence. A frame whose crop keeps under F_POINTS
+# of the points entering it is an empty view.
 Z_TH_MIN = 0.15
 Z_TH_MAX = 2.0
+F_POINTS = 0.2
 
 # kNN noise filter: neighbours per point, and the spread, in standard
 # deviations of the mean neighbour distance, a point may sit above the mean.
@@ -102,17 +107,11 @@ class PerceptionStatus(Enum):
 
 @dataclass
 class PipelineConfig:
-    r_v: float = 0.05                 # voxel resolution, m
-    f_points: float = 0.2             # empty-view fraction threshold
     safety_margin_R: float = 0.3      # border inflation distance, m
     lane_mode: str = "full"
 
     def validate(self, path: str = "pipeline") -> list[str]:
         errs = []
-        if not self.r_v > 0:
-            errs.append(f"{path}.r_v: must be > 0")
-        if not 0.0 < self.f_points < 1.0:
-            errs.append(f"{path}.f_points: must be in (0, 1)")
         if self.safety_margin_R < 0:
             errs.append(f"{path}.safety_margin_R: must be >= 0")
         if self.lane_mode not in LANE_MODES:
@@ -542,10 +541,10 @@ def process(cloud, cfg: PipelineConfig) -> PerceptionResult:
 
 
 def _perceive(pts: np.ndarray, cfg: PipelineConfig) -> PerceptionResult:
-    down = voxel_downsample(pts, cfg.r_v)
+    down = voxel_downsample(pts, R_V)
     filt = knn_outlier_filter(down, KNN_K, KNN_STD_RATIO)
     cropped = height_crop(filt, Z_TH_MIN, Z_TH_MAX)
-    if fov_empty_check(len(cropped), len(filt), cfg.f_points):
+    if fov_empty_check(len(cropped), len(filt), F_POINTS):
         return PerceptionResult(PerceptionStatus.EMPTY_FOV,
                                 reason="surviving point fraction below threshold")
     occupied = project_to_grid(cropped)

@@ -111,7 +111,6 @@ class TargetSpec:
 class Centerline:
     """Analytic reference path starting at the origin heading +x."""
 
-    length: float
     curvature: float = 0.0
 
     def point(self, s: float) -> tuple[float, float]:
@@ -154,7 +153,7 @@ def generate_world(spec: WorldSpec) -> World:
     """Plant two rows of seeded-random canopy clusters around the centerline."""
     rng = np.random.default_rng(spec.seed)
     planted = spec.row_length + spec.canopy_overhang
-    line = Centerline(planted, spec.curvature)
+    line = Centerline(spec.curvature)
     half = spec.intra_row_space / 2.0
 
     points: list[np.ndarray] = []

@@ -4,9 +4,13 @@ An explicit finite-state machine stands in for the orchestration layer:
 traversal hands commands to the receding-horizon controller, perception
 faults or an infeasible solve drop into a proportional realignment spin,
 a detected target switches to a point-approach law, and a debounced run
-of empty views declares the end of the row and stops the rover. Every
-command leaves a tick through one exit, saturated to the NMPC input box
-and recorded with the controller as the applied input.
+of empty views declares the end of the row and stops the rover. A
+rejected lane while the rover is aligned with the remembered row
+direction creeps ahead at creep_v, or holds still when a perceived
+obstacle point lies within R_safe of the stretch the creep would cover
+in one control period. Every command leaves a tick through one exit,
+saturated to the NMPC input box and recorded with the controller as the
+applied input.
 
 The controller and the approach law work from the rover-frame origin:
 they read the lane, obstacle points and target in the current rover
@@ -25,6 +29,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from .core import ControlInput, Point2, QuatPose, heading_of, wrap_angle
 from .nmpc import NmpcController, SolverStatus
 from .pipeline import PerceptionResult, PerceptionStatus
@@ -35,7 +41,6 @@ class Mode(Enum):
     TARGET_APPROACH = "target_approach"
     FALLBACK_REALIGN = "fallback_realign"
     END_OF_ROW = "end_of_row"
-    IDLE = "idle"
 
 
 # Approach completion band: the proportional law decays exponentially, so
@@ -121,6 +126,15 @@ def target_approach_control(target: Point2, standoff: float) -> ControlInput | N
     return ControlInput(v, K_ALPHA * bearing)
 
 
+def creep_gap(obstacles, length: float) -> float:
+    """Distance from the nearest rover-frame obstacle point to the segment
+    from (0, 0) to (length, 0); inf when there is no point."""
+    if obstacles is None or len(obstacles) == 0:
+        return math.inf
+    dx = obstacles[:, 0] - np.clip(obstacles[:, 0], 0.0, length)
+    return float(np.hypot(dx, obstacles[:, 1]).min())
+
+
 class MissionSupervisor:
     """Single-owner state machine; call tick() once per control period."""
 
@@ -133,9 +147,9 @@ class MissionSupervisor:
     def mode(self) -> Mode:
         return self.state.mode
 
-    def reset(self, mode: Mode = Mode.TRAVERSE) -> None:
-        """External reset; the only way out of END_OF_ROW."""
-        self.state = SupervisorState(mode=mode)
+    def reset(self) -> None:
+        """External reset to TRAVERSE; the only way out of END_OF_ROW."""
+        self.state = SupervisorState()
         self.nmpc.reset()
 
     def _remember_row_direction(self, proposed: float | None) -> None:
@@ -236,7 +250,7 @@ class MissionSupervisor:
         stop = ControlInput(0.0, 0.0)
         note = ""
 
-        if st.mode is Mode.IDLE or st.mode is Mode.END_OF_ROW:
+        if st.mode is Mode.END_OF_ROW:
             return stop, None, "holding"
 
         if (st.mode in (Mode.TRAVERSE, Mode.FALLBACK_REALIGN)
@@ -299,6 +313,13 @@ class MissionSupervisor:
             return realign, None, f"lane rejected: {perception.reason}"
         # Already aligned with the remembered row direction: creep ahead so
         # the run can reach the empty-view stop instead of freezing on a
-        # borderline perception.
+        # borderline perception, unless a perceived point lies within R_safe
+        # of the straight stretch the creep would cover this tick.
+        cfg = self.nmpc.cfg
+        gap = creep_gap(perception.obstacles, self.fallback_cfg.creep_v * cfg.dt)
+        if gap < cfg.R_safe:
+            return (ControlInput(0.0, realign.omega), None,
+                    f"lane rejected, aligned: holding, obstacle point "
+                    f"{gap:.3f} m from the creep path ({perception.reason})")
         return (ControlInput(self.fallback_cfg.creep_v, realign.omega), None,
                 f"lane rejected, aligned: creeping ({perception.reason})")

@@ -69,11 +69,11 @@ def test_run_measuring_one_tick_reports_metrics(tmp_path, capsys):
 def test_run_config_error_exit_two(tmp_path, capsys):
     bad = tmp_path / "bad.yaml"
     data = dict(FAST_SCENARIO)
-    data["pipeline"] = {"f_points": 1.5}
+    data["pipeline"] = {"safety_margin_R": -0.1}
     bad.write_text(yaml.safe_dump(data))
     code = main(["run", "--config", str(bad), "--out", str(tmp_path / "out")])
     assert code == 2
-    assert "pipeline.f_points" in capsys.readouterr().err
+    assert "pipeline.safety_margin_R" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("section, key, value", [
@@ -330,7 +330,7 @@ def test_sweep_non_string_grid_key_is_a_config_error(fast_config, tmp_path, caps
 
 def test_sweep_bad_cell_flagged_others_run(fast_config, tmp_path, capsys):
     grid = tmp_path / "grid.yaml"
-    grid.write_text(yaml.safe_dump({"pipeline.f_points": [0.2, 2.0]}))
+    grid.write_text(yaml.safe_dump({"pipeline.safety_margin_R": [0.3, -1.0]}))
     code = main(["sweep", "--config", fast_config, "--grid", str(grid)])
     assert code == 0
     out = capsys.readouterr().out
@@ -342,7 +342,7 @@ def test_sweep_table_columns_line_up_past_an_error_row(fast_config, tmp_path,
     """The cell and status columns are as wide as their longest entry, so an
     `error: ...` row leaves every later column where the others have it."""
     grid = tmp_path / "grid.yaml"
-    grid.write_text(yaml.safe_dump({"pipeline.f_points": [0.2, 2.0]}))
+    grid.write_text(yaml.safe_dump({"pipeline.safety_margin_R": [0.3, -1.0]}))
     assert main(["sweep", "--config", fast_config, "--grid", str(grid)]) == 0
     table = capsys.readouterr().out.splitlines()
     assert len(table) == 3 and table[2].split()[1] == "error:"

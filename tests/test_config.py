@@ -15,7 +15,7 @@ from rownav.config import (THRESHOLD_SENSE, ConfigError, ScenarioConfig, dump_sc
 def test_defaults_build():
     cfg = scenario_from_dict({})
     assert cfg.nmpc.v_max == 0.4
-    assert cfg.pipeline.f_points == 0.2
+    assert cfg.pipeline.safety_margin_R == 0.3
     assert cfg.span == cfg.world.row_length
 
 
@@ -27,8 +27,8 @@ def test_unknown_key_with_path():
 
 def test_invariant_violation_named():
     with pytest.raises(ConfigError) as exc:
-        scenario_from_dict({"pipeline": {"f_points": 1.5}})
-    assert "pipeline.f_points" in str(exc.value)
+        scenario_from_dict({"pipeline": {"safety_margin_R": -0.1}})
+    assert "pipeline.safety_margin_R" in str(exc.value)
 
 
 def test_degrees_rejected_by_range_check():
@@ -42,9 +42,9 @@ def test_degrees_rejected_by_range_check():
 def test_top_level_lane_mode_forwarded():
     cfg = scenario_from_dict({"lane_mode": "right_half",
                               "world": {"intra_row_space": 4.0},
-                              "pipeline": {"r_v": 0.1}})
+                              "pipeline": {"safety_margin_R": 0.2}})
     assert cfg.pipeline.lane_mode == "right_half"
-    assert cfg.pipeline.r_v == 0.1
+    assert cfg.pipeline.safety_margin_R == 0.2
     assert cfg.desired_offset == pytest.approx(-1.0)
 
 
@@ -67,10 +67,11 @@ def test_module_constants_are_not_config_keys(tmp_path, capsys):
     """Fixed values of the perception, solver and supervisor rules are
     module constants, and the measured span is the row length: a file that
     sets one fails as a typo would."""
-    fixed = {"pipeline": ["grid_extent_x", "grid_extent_y", "min_border_span",
-                          "max_border_divergence", "border_inlier_frac",
-                          "z_th_min", "z_th_max", "knn_k", "knn_std_ratio",
-                          "grid_cell", "max_perp_angle", "max_obstacle_points"],
+    fixed = {"pipeline": ["r_v", "f_points", "grid_extent_x", "grid_extent_y",
+                          "min_border_span", "max_border_divergence",
+                          "border_inlier_frac", "z_th_min", "z_th_max", "knn_k",
+                          "knn_std_ratio", "grid_cell", "max_perp_angle",
+                          "max_obstacle_points"],
              "nmpc": ["solver_max_iter", "penalty_init", "penalty_growth"],
              "fallback": ["align_tol", "max_row_heading_jump", "max_row_heading_rate",
                           "K_p", "v_during_realign", "search_omega",
@@ -259,9 +260,9 @@ def _settable(cls, path=""):
 
 
 def test_settable_value_count():
-    """The scenario tree holds 40 settable values. A change that adds or
+    """The scenario tree holds 38 settable values. A change that adds or
     removes a setting moves this pin and says why."""
-    assert len(list(_settable(ScenarioConfig))) == 40
+    assert len(list(_settable(ScenarioConfig))) == 38
 
 
 def _every_field(cls, path=""):

@@ -26,7 +26,7 @@ def straight_run(v=0.4, dt=0.7, n=80, offset=0.0, heading=0.0):
     return make_log(poses, commands, dt)
 
 
-LINE = Centerline(20.0, 0.0)
+LINE = Centerline(0.0)
 
 
 def test_clearance_time_constant_speed():
@@ -95,7 +95,7 @@ def test_path_errors_on_reference_zero():
 
 
 def test_path_errors_arc_reference():
-    arc = Centerline(20.0, 1.0 / 15.0)
+    arc = Centerline(1.0 / 15.0)
     s = 5.0
     t = arc.tangent_angle(s)
     px, py = arc.point(s)
@@ -143,7 +143,7 @@ def test_path_errors_mae_at_most_rms(points, curvature, desired_offset):
     log = make_log([pose_from(x, y, 0.0) for x, y in points],
                    [ControlInput(0.4, 0.0)] * len(points))
     with np.errstate(over="ignore"):    # errors past ~1e154 m square to inf
-        mae, mse = path_errors(log.records, Centerline(20.0, curvature),
+        mae, mse = path_errors(log.records, Centerline(curvature),
                                desired_offset)
     rms = math.sqrt(mse)
     assert mae <= rms + 1e-12 * max(1.0, rms)

@@ -896,7 +896,7 @@ def test_process_ends_every_sensor_frame_in_a_status(frame):
     res = process(frame, cfg)
     valid = np.isfinite(frame).all(axis=1) & frame.any(axis=1)
     assert res.dropped_points == len(frame) - valid.sum()
-    if valid.any() and voxel_key_space(frame[valid], cfg.r_v) >= 2 ** 63:
+    if valid.any() and voxel_key_space(frame[valid], pipeline.R_V) >= 2 ** 63:
         assert res.status is PerceptionStatus.INVALID_LANE
         assert "voxel key space" in res.reason
     else:

@@ -22,14 +22,14 @@ from rownav.supervisor import FallbackConfig, Mode
 # ---------------------------------------------------------------- centerline
 
 def test_centerline_straight():
-    line = Centerline(20.0, 0.0)
+    line = Centerline(0.0)
     assert line.point(5.0) == (5.0, 0.0)
     assert line.tangent_angle(5.0) == 0.0
     assert line.project(5.0, 0.3) == (5.0, 0.3)
 
 
 def test_centerline_arc_round_trip():
-    line = Centerline(20.0, 1.0 / 15.0)
+    line = Centerline(1.0 / 15.0)
     for s in np.linspace(0.1, 19.9, 15):
         for lat in (-0.4, 0.0, 0.6):
             t = line.tangent_angle(s)
@@ -42,7 +42,7 @@ def test_centerline_arc_round_trip():
 
 
 def test_centerline_right_curve_sign():
-    line = Centerline(20.0, -1.0 / 15.0)
+    line = Centerline(-1.0 / 15.0)
     s2, lat = line.project(*line.point(3.0))
     assert s2 == pytest.approx(3.0, abs=1e-9)
     assert lat == pytest.approx(0.0, abs=1e-9)
@@ -252,7 +252,7 @@ def assert_renders_like_reference(world, pose, cam, seed):
 
 def cloud_world(points, noise_sigma=0.005):
     """A world holding only `points`: no rows, no stems."""
-    return World(WorldSpec(noise_sigma=noise_sigma), Centerline(1.0),
+    return World(WorldSpec(noise_sigma=noise_sigma), Centerline(),
                  np.asarray(points, dtype=float).reshape(-1, 3),
                  np.zeros((0, 2)), np.zeros(0))
 

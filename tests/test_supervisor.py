@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -6,10 +7,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rownav import nmpc, supervisor
-from rownav.core import BorderLine, ControlInput, Point2, pose_from
+from rownav.cli import resolve_config_path
+from rownav.config import load_scenario
+from rownav.core import BorderLine, ControlInput, Point2, heading_of, pose_from
 from rownav.nmpc import NmpcConfig, NmpcController, SolverStatus
 from rownav.pipeline import (LANE_MODES, LaneModel, PerceptionResult,
                              PerceptionStatus, PipelineConfig, lane_from_borders)
+from rownav.sim import generate_world, run_scenario
 from rownav.supervisor import (Detection, FallbackConfig, MissionSupervisor,
                                Mode, fallback_control, target_approach_control)
 
@@ -139,14 +143,6 @@ def test_end_of_row_absorbing_until_reset(monkeypatch):
     assert cmd == ControlInput(0.0, 0.0)
     sup.reset()
     assert sup.mode is Mode.TRAVERSE
-
-
-def test_idle_emits_zero():
-    sup = make_supervisor()
-    sup.reset(Mode.IDLE)
-    cmd, info = sup.tick(pose_from(0, 0, 0), ok_lane())
-    assert info.mode is Mode.IDLE
-    assert cmd == ControlInput(0.0, 0.0)
 
 
 def test_detection_switches_to_target_approach():
@@ -295,6 +291,95 @@ def test_fallback_speeds_outside_box_saturated_and_recorded(monkeypatch):
         assert info.note == note
         assert cmd.v == v_max
         assert sup.nmpc._u_prev == cmd
+
+
+def rejected_with(points):
+    """An INVALID_LANE frame that carries the given rover-frame points."""
+    return PerceptionResult(PerceptionStatus.INVALID_LANE,
+                            obstacles=np.array(points, dtype=float).reshape(-1, 2),
+                            reason="test")
+
+
+def test_creep_holds_short_of_a_point_ahead():
+    """Aligned with the remembered row but with the lane rejected, the rover
+    creeps only when no perceived point lies within R_safe of the stretch
+    the creep covers in one dt (creep_v * dt = 0.105 m here)."""
+    sup = make_supervisor()
+    for _ in range(2):  # two agreeing lanes establish the row direction
+        sup.tick(pose_from(0, 0, 0), ok_lane())
+    cmd, info = sup.tick(pose_from(0, 0, 0), rejected_with([(0.35, 0.0)]))
+    assert info.mode is Mode.TRAVERSE
+    assert cmd == ControlInput(0.0, 0.0)
+    assert info.note == ("lane rejected, aligned: holding, obstacle point "
+                         "0.245 m from the creep path (test)")
+    cmd, info = sup.tick(pose_from(0, 0, 0), rejected_with([(0.42, 0.0)]))
+    assert cmd == ControlInput(0.15, 0.0)
+    assert info.note == "lane rejected, aligned: creeping (test)"
+
+
+def segment_gap(points, length):
+    """Smallest distance from the points to the segment (0, 0)-(length, 0)."""
+    return min((math.hypot(x - min(max(x, 0.0), length), y) for x, y in points),
+               default=math.inf)
+
+
+@settings(max_examples=80)
+@given(st.lists(st.tuples(st.floats(-1.0, 2.0), st.floats(-1.0, 1.0)),
+                max_size=6),
+       st.floats(-supervisor.ALIGN_TOL, supervisor.ALIGN_TOL),
+       st.floats(0.0, 1.0))
+@example([(0.35, 0.0)], 0.0, 0.15)
+@example([(0.6, 0.1), (-0.2, -0.25)], 0.05, 0.6)
+def test_creep_keeps_r_safe_along_its_segment(points, heading, creep_v):
+    """Over drawn obstacle sets, headings inside the alignment band and
+    creep speeds (some above v_max), every forward command of the creep
+    branch keeps R_safe from every point along the segment it covers in one
+    dt, and a held command turns as the creep would."""
+    sup = make_supervisor(creep_v=creep_v)
+    for _ in range(2):
+        sup.tick(pose_from(0, 0, 0), ok_lane())
+    cmd, info = sup.tick(pose_from(0, 0, heading), rejected_with(points))
+    assert info.note.startswith("lane rejected, aligned: ")
+    cfg = sup.nmpc.cfg
+    assert cmd.omega == pytest.approx(-supervisor.K_P * heading)
+    if cmd.v > 0.0:
+        assert segment_gap(points, cmd.v * cfg.dt) >= cfg.R_safe
+    else:
+        assert (creep_v == 0.0
+                or segment_gap(points, creep_v * cfg.dt) < cfg.R_safe)
+
+
+def run_with_heading_drift(monkeypatch, name, rate, seed=None, max_ticks=100):
+    """Run a bundled scenario with the supervisor seeing the heading plus
+    rate * t (rad/s), t = tick * dt: a gyro bias, which leaves the rover's
+    true motion and the rendered frames exact."""
+    cfg = load_scenario(resolve_config_path(name))
+    if seed is not None:
+        cfg.world.seed = seed
+    tick = MissionSupervisor.tick
+    count = itertools.count()
+
+    def drifting(self, pose, perception, detection=None):
+        bias = rate * next(count) * self.nmpc.cfg.dt
+        seen = pose_from(pose.x1, pose.x2, heading_of(pose) + bias)
+        return tick(self, seen, perception, detection)
+
+    monkeypatch.setattr(MissionSupervisor, "tick", drifting)
+    return run_scenario(generate_world(cfg.world),
+                        pose_from(cfg.start.x, cfg.start.y, cfg.start.theta),
+                        cfg.camera, cfg.pipeline, cfg.nmpc, cfg.fallback,
+                        cfg.targets, max_ticks)
+
+
+@pytest.mark.parametrize("name, seed", [("sim_obstacle", 10), ("sim_curved", None)])
+def test_heading_drift_does_not_creep_into_a_stem(monkeypatch, name, seed):
+    """With a heading drift of +0.03 rad/s, creeping on a rejected lane once
+    drove sim_obstacle world 10 into the stem at (12.00, -1.25) at tick 72
+    and sim_curved into the stem at (7.55, 1.18) at tick 46. The creep now
+    holds short of the perceived stem, and neither run collides."""
+    log = run_with_heading_drift(monkeypatch, name, 0.03, seed)
+    assert not log.collision, log.collision_note
+    assert any("holding, obstacle point" in rec.note for rec in log.records)
 
 
 def test_replay_reproduces_mode_sequence():
